@@ -45,6 +45,19 @@ pub enum EngineError {
         /// The refusing engine.
         engine: &'static str,
     },
+    /// The execution covers no timestep at all (a zero-timestep batch, or a
+    /// fresh streaming execution of zero steps), so there is nothing to
+    /// read out.
+    NoTimesteps {
+        /// The refusing engine.
+        engine: &'static str,
+    },
+    /// The session state handed to a streaming execution does not fit the
+    /// model it would resume (block count or a membrane width differs).
+    StateMismatch {
+        /// The refusing engine.
+        engine: &'static str,
+    },
 }
 
 impl EngineError {
@@ -55,7 +68,9 @@ impl EngineError {
             | EngineError::BatchTooLarge { engine, .. }
             | EngineError::Transient { engine }
             | EngineError::Panicked { engine }
-            | EngineError::StreamingUnsupported { engine } => engine,
+            | EngineError::StreamingUnsupported { engine }
+            | EngineError::NoTimesteps { engine }
+            | EngineError::StateMismatch { engine } => engine,
         }
     }
 
@@ -68,6 +83,8 @@ impl EngineError {
             EngineError::Transient { .. } => "engine_transient",
             EngineError::Panicked { .. } => "engine_panicked",
             EngineError::StreamingUnsupported { .. } => "streaming_unsupported",
+            EngineError::NoTimesteps { .. } => "no_timesteps",
+            EngineError::StateMismatch { .. } => "state_mismatch",
         }
     }
 
@@ -110,6 +127,13 @@ impl fmt::Display for EngineError {
             EngineError::StreamingUnsupported { engine } => {
                 write!(f, "engine \"{engine}\" has no streaming/stateful execution path")
             }
+            EngineError::NoTimesteps { engine } => {
+                write!(f, "engine \"{engine}\" cannot execute zero timesteps")
+            }
+            EngineError::StateMismatch { engine } => write!(
+                f,
+                "engine \"{engine}\" cannot resume a session state that does not fit the model"
+            ),
         }
     }
 }
@@ -147,6 +171,16 @@ mod tests {
         assert_eq!(streaming.code(), "streaming_unsupported");
         assert_eq!(streaming.engine(), "ptb");
         assert!(streaming.to_string().contains("streaming"));
+
+        let empty = EngineError::NoTimesteps { engine: "native" };
+        assert_eq!(empty.code(), "no_timesteps");
+        assert_eq!(empty.engine(), "native");
+        assert!(empty.to_string().contains("zero timesteps"));
+
+        let mismatch = EngineError::StateMismatch { engine: "native" };
+        assert_eq!(mismatch.code(), "state_mismatch");
+        assert_eq!(mismatch.engine(), "native");
+        assert!(mismatch.to_string().contains("session state"));
     }
 
     #[test]
@@ -161,5 +195,7 @@ mod tests {
         assert!(EngineError::Transient { engine: "e" }.retryable());
         assert!(EngineError::Panicked { engine: "e" }.retryable());
         assert!(!EngineError::StreamingUnsupported { engine: "e" }.retryable());
+        assert!(!EngineError::NoTimesteps { engine: "e" }.retryable());
+        assert!(!EngineError::StateMismatch { engine: "e" }.retryable());
     }
 }

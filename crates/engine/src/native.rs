@@ -4,15 +4,16 @@
 //! Where the simulator *estimates* what the Bishop chip would do, this engine
 //! actually runs the model: it materializes a [`SpikingTransformer`] with
 //! deterministic weights for the batched configuration, synthesizes the
-//! request's patch input from its trace seed, executes the full forward pass
-//! (tokenizer → encoder blocks → classifier) on the bit-packed kernels, and
-//! reports the **measured wall-clock** alongside a real class prediction.
+//! request's patch input from its trace seed, steps the forward pass
+//! (tokenizer → encoder blocks → classifier) one timestep at a time on the
+//! bit-packed kernels, and reports the **measured wall-clock** alongside a
+//! real class prediction.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bishop_model::{ComputePool, ModelConfig, SpikingTransformer, TransformerStepper};
+use bishop_model::{ModelConfig, SpikingTransformer, TransformerStepper};
 use bishop_session::SessionState;
 use bishop_spiketensor::words::simd;
 use bishop_spiketensor::DenseMatrix;
@@ -43,12 +44,6 @@ pub struct NativeEngineConfig {
     /// Entry bound of the weight cache (one materialized transformer per
     /// distinct batched configuration).
     pub model_cache_capacity: usize,
-    /// Width of the intra-batch compute pool: independent units of one
-    /// batch (timesteps, heads, token-row chunks) fan out across this many
-    /// threads, caller included. `0` auto-sizes to the host's available
-    /// parallelism; `1` forces sequential execution. Results are
-    /// bit-identical at any width.
-    pub compute_workers: usize,
 }
 
 impl Default for NativeEngineConfig {
@@ -58,7 +53,6 @@ impl Default for NativeEngineConfig {
             clock_hz: 2.5e9,
             max_folded_timesteps: 1024,
             model_cache_capacity: 32,
-            compute_workers: 0,
         }
     }
 }
@@ -83,7 +77,6 @@ impl Default for NativeEngineConfig {
 pub struct NativeEngine {
     config: NativeEngineConfig,
     models: OnceMap<ModelConfig, SpikingTransformer>,
-    pool: ComputePool,
 }
 
 impl NativeEngine {
@@ -92,32 +85,18 @@ impl NativeEngine {
         Self::with_config(NativeEngineConfig::default())
     }
 
-    /// An engine with explicit host parameters. The intra-batch compute
-    /// pool is sized from [`NativeEngineConfig::compute_workers`].
+    /// An engine with explicit host parameters.
     pub fn with_config(config: NativeEngineConfig) -> Self {
-        let pool = ComputePool::new(config.compute_workers);
-        Self::with_config_and_pool(config, pool)
-    }
-
-    /// An engine with an explicitly constructed compute pool (the runtime
-    /// uses this to attach profiler probes to the pool lanes).
-    pub fn with_config_and_pool(config: NativeEngineConfig, pool: ComputePool) -> Self {
         let capacity = config.model_cache_capacity;
         Self {
             config,
             models: OnceMap::with_capacity(capacity),
-            pool,
         }
     }
 
     /// The host parameters in use.
     pub fn config(&self) -> &NativeEngineConfig {
         &self.config
-    }
-
-    /// The intra-batch compute pool.
-    pub fn compute_pool(&self) -> &ComputePool {
-        &self.pool
     }
 
     /// The transformer serving `config`, built (with weights seeded from the
@@ -127,6 +106,19 @@ impl NativeEngine {
             let mut rng = StdRng::seed_from_u64(weight_seed(config));
             SpikingTransformer::random(config, config.features, config.dataset.classes(), &mut rng)
         })
+    }
+
+    /// The output of an execution that took `wall` seconds.
+    fn output(&self, wall: f64, prediction: usize) -> EngineOutput {
+        EngineOutput {
+            engine: NATIVE_ENGINE,
+            latency_seconds: wall,
+            energy_mj: self.config.cpu_power_watts * wall * 1e3,
+            cycles: (wall * self.config.clock_hz) as u64,
+            metrics: None,
+            wall_seconds: Some(wall),
+            prediction: Some(prediction),
+        }
     }
 }
 
@@ -166,28 +158,21 @@ impl InferenceEngine for NativeEngine {
 
     fn execute(&self, batch: &EngineBatch) -> Result<EngineOutput, EngineError> {
         self.descriptor().check(batch)?;
+        if batch.config.timesteps == 0 {
+            return Err(EngineError::NoTimesteps {
+                engine: NATIVE_ENGINE,
+            });
+        }
         let model = self.model(&batch.config);
-
-        // The patch input is the native analogue of the simulator's
-        // synthesized trace: deterministic in the batch seed, shaped
-        // `tokens × features` for the tokenizer.
-        let mut rng = StdRng::seed_from_u64(batch.seed);
-        let patches =
-            DenseMatrix::random_uniform(batch.config.tokens, batch.config.features, 1.0, &mut rng);
+        let patches = patches(batch);
 
         let start = Instant::now();
-        let result = model.infer_with(&patches, &self.pool);
-        let wall = start.elapsed().as_secs_f64();
-
-        Ok(EngineOutput {
-            engine: NATIVE_ENGINE,
-            latency_seconds: wall,
-            energy_mj: self.config.cpu_power_watts * wall * 1e3,
-            cycles: (wall * self.config.clock_hz) as u64,
-            metrics: None,
-            wall_seconds: Some(wall),
-            prediction: Some(result.prediction),
-        })
+        let mut stepper = TransformerStepper::new(&model, &patches);
+        for _ in 0..batch.config.timesteps {
+            stepper.step();
+        }
+        let readout = stepper.finish();
+        Ok(self.output(start.elapsed().as_secs_f64(), readout.prediction))
     }
 
     fn execute_streaming(
@@ -199,19 +184,18 @@ impl InferenceEngine for NativeEngine {
     ) -> Result<StreamedOutput, EngineError> {
         self.descriptor().check(batch)?;
         let model = self.model(&batch.config);
-
-        // Same deterministic patch synthesis as `execute`: the session pins
-        // its seed at creation, so every continuation steps the exact input
-        // the earlier requests ran on.
-        let mut rng = StdRng::seed_from_u64(batch.seed);
-        let patches =
-            DenseMatrix::random_uniform(batch.config.tokens, batch.config.features, 1.0, &mut rng);
+        // The session pins its seed at creation, so every continuation
+        // steps the exact input the earlier requests ran on.
+        let patches = patches(batch);
 
         let start = Instant::now();
         let mut stepper = match resume {
             Some(SessionState::Native(state)) => {
-                TransformerStepper::resume(&model, &patches, state.clone())
-                    .with_pool(self.pool.clone())
+                TransformerStepper::resume(&model, &patches, state.clone()).map_err(|_| {
+                    EngineError::StateMismatch {
+                        engine: NATIVE_ENGINE,
+                    }
+                })?
             }
             // A state exported by a different substrate cannot seed native
             // membranes; treat the coupling as broken rather than guess.
@@ -220,13 +204,14 @@ impl InferenceEngine for NativeEngine {
                     engine: NATIVE_ENGINE,
                 })
             }
-            None => TransformerStepper::new(&model, &patches).with_pool(self.pool.clone()),
+            None => TransformerStepper::new(&model, &patches),
         };
-        assert!(
-            stepper.timesteps_done() + steps > 0,
-            "a streaming execution must cover at least one timestep"
-        );
         let total = stepper.timesteps_done() + steps;
+        if total == 0 {
+            return Err(EngineError::NoTimesteps {
+                engine: NATIVE_ENGINE,
+            });
+        }
         for _ in 0..steps {
             let outcome = stepper.step();
             sink.on_step(&StepEvent {
@@ -238,22 +223,21 @@ impl InferenceEngine for NativeEngine {
         }
         let readout = stepper.finish();
         let state = SessionState::Native(stepper.export());
-        let wall = start.elapsed().as_secs_f64();
 
         Ok(StreamedOutput {
-            output: EngineOutput {
-                engine: NATIVE_ENGINE,
-                latency_seconds: wall,
-                energy_mj: self.config.cpu_power_watts * wall * 1e3,
-                cycles: (wall * self.config.clock_hz) as u64,
-                metrics: None,
-                wall_seconds: Some(wall),
-                prediction: Some(readout.prediction),
-            },
+            output: self.output(start.elapsed().as_secs_f64(), readout.prediction),
             state,
             logits: Some(readout.logits),
         })
     }
+}
+
+/// The batch's patch input, the native analogue of the simulator's
+/// synthesized trace: deterministic in the batch seed, shaped
+/// `tokens × features` for the tokenizer.
+fn patches(batch: &EngineBatch) -> DenseMatrix {
+    let mut rng = StdRng::seed_from_u64(batch.seed);
+    DenseMatrix::random_uniform(batch.config.tokens, batch.config.features, 1.0, &mut rng)
 }
 
 #[cfg(test)]
@@ -262,6 +246,8 @@ mod tests {
     use bishop_bundle::TrainingRegime;
     use bishop_core::SimOptions;
     use bishop_model::DatasetKind;
+
+    use crate::api::NullStepSink;
 
     fn batch(seed: u64, timesteps: usize, options: SimOptions) -> EngineBatch {
         EngineBatch {
@@ -329,6 +315,57 @@ mod tests {
                 folded_timesteps: 16,
                 limit: 8
             })
+        );
+    }
+
+    #[test]
+    fn zero_timestep_executions_are_typed_refusals() {
+        let engine = NativeEngine::new();
+        let mut empty = batch(1, 4, SimOptions::baseline());
+        empty.config.timesteps = 0;
+        assert_eq!(
+            engine.execute(&empty),
+            Err(EngineError::NoTimesteps { engine: "native" })
+        );
+        assert_eq!(
+            engine
+                .execute_streaming(
+                    &batch(1, 4, SimOptions::baseline()),
+                    0,
+                    None,
+                    &mut NullStepSink
+                )
+                .unwrap_err(),
+            EngineError::NoTimesteps { engine: "native" }
+        );
+    }
+
+    #[test]
+    fn mismatched_session_state_is_a_typed_refusal() {
+        let engine = NativeEngine::new();
+        let parked = engine
+            .execute_streaming(
+                &batch(1, 4, SimOptions::baseline()),
+                2,
+                None,
+                &mut NullStepSink,
+            )
+            .expect("fresh streaming executes")
+            .state;
+        let SessionState::Native(mut state) = parked else {
+            panic!("native parks native state");
+        };
+        state.blocks[0].fc1.pop();
+        assert_eq!(
+            engine
+                .execute_streaming(
+                    &batch(1, 4, SimOptions::baseline()),
+                    2,
+                    Some(&SessionState::Native(state)),
+                    &mut NullStepSink
+                )
+                .unwrap_err(),
+            EngineError::StateMismatch { engine: "native" }
         );
     }
 }

@@ -122,10 +122,11 @@ impl InferenceEngine for SimulatorEngine {
             None => 0,
         };
         let total_timesteps = done + steps;
-        assert!(
-            total_timesteps > 0,
-            "a streaming execution must cover at least one timestep"
-        );
+        if total_timesteps == 0 {
+            return Err(EngineError::NoTimesteps {
+                engine: SIMULATOR_ENGINE,
+            });
+        }
         // Simulate the whole accumulated sequence under the session's base
         // configuration: both halves of a split sequence resolve to the
         // same memoized workload and result the single long request would,
@@ -165,6 +166,8 @@ mod tests {
     use bishop_core::{BishopConfig, SimOptions};
     use bishop_model::{DatasetKind, ModelConfig};
 
+    use crate::api::NullStepSink;
+
     fn engine() -> SimulatorEngine {
         SimulatorEngine::new(BishopSimulator::new(BishopConfig::default()))
     }
@@ -202,5 +205,17 @@ mod tests {
         b.options = SimOptions::with_ecp(6);
         assert!(engine.descriptor().check(&b).is_ok());
         assert!(engine.execute(&b).is_ok());
+    }
+
+    #[test]
+    fn zero_step_fresh_stream_is_a_typed_refusal() {
+        assert_eq!(
+            engine()
+                .execute_streaming(&batch(1), 0, None, &mut NullStepSink)
+                .unwrap_err(),
+            EngineError::NoTimesteps {
+                engine: "simulator"
+            }
+        );
     }
 }

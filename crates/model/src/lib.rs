@@ -11,8 +11,10 @@
 //!   Models 1–5 plus arbitrary custom configurations;
 //! * functional layers ([`SpikingLinear`], [`SpikingSelfAttention`],
 //!   [`SpikingMlp`], [`SpikingTokenizer`], [`EncoderBlock`],
-//!   [`SpikingTransformer`]) that execute the model exactly as defined in
-//!   Eq. 3–8 of the paper, producing binary activation traces;
+//!   [`SpikingTransformer`]) and the one forward pass over them,
+//!   [`TransformerStepper`], which executes the model exactly as defined in
+//!   Eq. 3–8 of the paper, a window of timesteps at a time, producing
+//!   binary activation traces;
 //! * [`ModelWorkload`]/[`LayerWorkload`] — the layer-by-layer description of
 //!   a model's computation (input spikes, weight shapes, Q/K/V tensors) that
 //!   the Bishop and PTB accelerator simulators consume;
@@ -34,7 +36,6 @@
 pub mod config;
 pub mod encoder;
 pub mod mlp;
-pub mod parallel;
 pub mod profile;
 pub mod projection;
 pub mod ssa;
@@ -46,12 +47,13 @@ pub mod workload;
 pub use config::{DatasetKind, ModelConfig};
 pub use encoder::EncoderBlock;
 pub use mlp::SpikingMlp;
-pub use parallel::{ComputePool, WorkerProbe};
 pub use projection::{spike_matmul, spike_matmul_reference, SpikingLinear};
-pub use ssa::{select_accumulate, select_accumulate_reference, SpikingSelfAttention, SsaOutput};
-pub use stepper::{BlockState, ModelState, PooledReadout, StepOutcome, TransformerStepper};
+pub use ssa::{select_accumulate, select_accumulate_reference, SpikingSelfAttention};
+pub use stepper::{
+    BlockState, ModelState, Readout, StateMismatch, StepOutcome, TransformerStepper,
+};
 pub use tokenizer::SpikingTokenizer;
-pub use transformer::{InferenceResult, SpikingTransformer};
+pub use transformer::SpikingTransformer;
 pub use workload::{
     AttentionWorkload, LayerKind, LayerWorkload, ModelWorkload, ProjectionWorkload,
 };

@@ -1,10 +1,8 @@
 //! Spiking MLP blocks.
 
 use bishop_neuron::LifConfig;
-use bishop_spiketensor::SpikeTensor;
 use rand::Rng;
 
-use crate::parallel::ComputePool;
 use crate::projection::SpikingLinear;
 
 /// The spiking MLP block of an encoder: two spiking linear layers with an
@@ -17,15 +15,6 @@ use crate::projection::SpikingLinear;
 pub struct SpikingMlp {
     fc1: SpikingLinear,
     fc2: SpikingLinear,
-}
-
-/// Intermediate and final activations of an MLP forward pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpOutput {
-    /// Hidden-layer spikes, `T × N × (r·D)`.
-    pub hidden: SpikeTensor,
-    /// Output spikes, `T × N × D`.
-    pub output: SpikeTensor,
 }
 
 impl SpikingMlp {
@@ -72,49 +61,12 @@ impl SpikingMlp {
     pub fn fc2(&self) -> &SpikingLinear {
         &self.fc2
     }
-
-    /// Forward pass returning both the hidden and output spike tensors.
-    pub fn forward(&self, input: &SpikeTensor) -> MlpOutput {
-        self.forward_with(input, &ComputePool::sequential())
-    }
-
-    /// Pool-parallel [`SpikingMlp::forward`]; bit-identical at any pool
-    /// width.
-    pub fn forward_with(&self, input: &SpikeTensor, pool: &ComputePool) -> MlpOutput {
-        let hidden = self.fc1.forward_with(input, pool);
-        let output = self.fc2.forward_with(&hidden, pool);
-        MlpOutput { hidden, output }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bishop_spiketensor::{DenseMatrix, TensorShape};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn forward_shapes_follow_expansion_ratio() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mlp = SpikingMlp::random(8, 32, LifConfig::default(), &mut rng);
-        let x = SpikeTensor::from_fn(TensorShape::new(2, 4, 8), |_, n, d| (n + d) % 2 == 0);
-        let out = mlp.forward(&x);
-        assert_eq!(out.hidden.shape(), TensorShape::new(2, 4, 32));
-        assert_eq!(out.output.shape(), TensorShape::new(2, 4, 8));
-        assert_eq!(mlp.features(), 8);
-        assert_eq!(mlp.hidden(), 32);
-    }
-
-    #[test]
-    fn zero_input_stays_zero() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mlp = SpikingMlp::random(4, 16, LifConfig::default(), &mut rng);
-        let x = SpikeTensor::zeros(TensorShape::new(3, 3, 4));
-        let out = mlp.forward(&x);
-        assert_eq!(out.hidden.count_ones(), 0);
-        assert_eq!(out.output.count_ones(), 0);
-    }
+    use bishop_spiketensor::DenseMatrix;
 
     #[test]
     fn from_layers_validates_widths() {
@@ -130,21 +82,5 @@ mod tests {
         let fc1 = SpikingLinear::from_weight(DenseMatrix::zeros(4, 8), LifConfig::default());
         let fc2 = SpikingLinear::from_weight(DenseMatrix::zeros(9, 4), LifConfig::default());
         SpikingMlp::from_layers(fc1, fc2);
-    }
-
-    #[test]
-    fn saturating_weights_fire_everything() {
-        let fc1 = SpikingLinear::from_weight(
-            DenseMatrix::from_fn(2, 4, |_, _| 2.0),
-            LifConfig::default(),
-        );
-        let fc2 = SpikingLinear::from_weight(
-            DenseMatrix::from_fn(4, 2, |_, _| 2.0),
-            LifConfig::default(),
-        );
-        let mlp = SpikingMlp::from_layers(fc1, fc2);
-        let x = SpikeTensor::ones(TensorShape::new(1, 2, 2));
-        let out = mlp.forward(&x);
-        assert_eq!(out.output.density(), 1.0);
     }
 }

@@ -1,11 +1,9 @@
 //! Spiking linear (projection) layers.
 
-use bishop_neuron::{lif_over_time, LifConfig};
+use bishop_neuron::LifConfig;
 use bishop_spiketensor::words::simd;
 use bishop_spiketensor::{DenseMatrix, SpikeTensor};
 use rand::Rng;
-
-use crate::parallel::ComputePool;
 
 /// Multiplies the binary spike plane at timestep `t` (an `N × D_in` 0/1
 /// matrix) with a dense `D_in × D_out` weight matrix.
@@ -46,40 +44,6 @@ pub fn spike_matmul(spikes: &SpikeTensor, t: usize, weight: &DenseMatrix) -> Den
     out
 }
 
-/// Pool-parallel variant of [`spike_matmul`]: output token rows are
-/// independent, so they are fanned across the compute pool and reassembled
-/// in token order. Each row runs the exact same accumulation sequence as
-/// the sequential kernel, so the result is bit-for-bit identical to
-/// [`spike_matmul`] at any pool width.
-pub fn spike_matmul_with(
-    spikes: &SpikeTensor,
-    t: usize,
-    weight: &DenseMatrix,
-    pool: &ComputePool,
-) -> DenseMatrix {
-    if !pool.is_parallel() {
-        return spike_matmul(spikes, t, weight);
-    }
-    let shape = spikes.shape();
-    assert!(t < shape.timesteps, "timestep {t} out of range");
-    assert_eq!(
-        weight.rows(),
-        shape.features,
-        "weight rows ({}) must equal input features ({})",
-        weight.rows(),
-        shape.features
-    );
-    let rows = pool.run(shape.tokens, |n| {
-        let kernels = simd::active();
-        let mut row = vec![0.0_f32; weight.cols()];
-        for d_in in spikes.row_words(t, n).iter_set_bits() {
-            kernels.add_assign(&mut row, weight.row(d_in));
-        }
-        row
-    });
-    DenseMatrix::from_rows(&rows)
-}
-
 /// Scalar reference implementation of [`spike_matmul`], kept for
 /// differential testing and the before/after kernel benchmarks.
 pub fn spike_matmul_reference(spikes: &SpikeTensor, t: usize, weight: &DenseMatrix) -> DenseMatrix {
@@ -112,14 +76,14 @@ pub fn spike_matmul_reference(spikes: &SpikeTensor, t: usize, weight: &DenseMatr
 /// transformer (§2.2 of the paper: complexity `O(T·N·D²)`).
 ///
 /// ```
-/// use bishop_model::SpikingLinear;
-/// use bishop_neuron::LifConfig;
+/// use bishop_model::{spike_matmul, SpikingLinear};
+/// use bishop_neuron::{lif_over_time, LifConfig};
 /// use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
 ///
 /// let weight = DenseMatrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 0.1]]);
 /// let layer = SpikingLinear::from_weight(weight, LifConfig::default());
 /// let x = SpikeTensor::ones(TensorShape::new(1, 3, 2));
-/// let y = layer.forward(&x);
+/// let y = lif_over_time(&[spike_matmul(&x, 0, layer.weight())], layer.lif_config());
 /// // Feature 0 receives 2.0 > threshold and fires; feature 1 receives 0.1.
 /// assert!(y.get(0, 0, 0));
 /// assert!(!y.get(0, 0, 1));
@@ -168,42 +132,6 @@ impl SpikingLinear {
     /// The LIF configuration of the layer's neuron stage.
     pub fn lif_config(&self) -> LifConfig {
         self.lif
-    }
-
-    /// Computes the per-timestep synaptic integration `X[t] · W` without
-    /// applying the LIF stage. Exposed because the Bishop spike generator
-    /// consumes exactly this intermediate quantity.
-    pub fn synaptic_integration(&self, input: &SpikeTensor) -> Vec<DenseMatrix> {
-        self.synaptic_integration_with(input, &ComputePool::sequential())
-    }
-
-    /// Pool-parallel [`SpikingLinear::synaptic_integration`]: timesteps are
-    /// independent before the LIF stage (the membrane coupling happens in
-    /// `lif_over_time`), so they are fanned across the compute pool. A
-    /// single-timestep input falls back to row-chunked
-    /// [`spike_matmul_with`]. Bit-identical to the sequential path.
-    pub fn synaptic_integration_with(
-        &self,
-        input: &SpikeTensor,
-        pool: &ComputePool,
-    ) -> Vec<DenseMatrix> {
-        let timesteps = input.shape().timesteps;
-        if timesteps == 1 {
-            return vec![spike_matmul_with(input, 0, &self.weight, pool)];
-        }
-        pool.run(timesteps, |t| spike_matmul(input, t, &self.weight))
-    }
-
-    /// Full forward pass: synaptic integration followed by the LIF layer.
-    pub fn forward(&self, input: &SpikeTensor) -> SpikeTensor {
-        self.forward_with(input, &ComputePool::sequential())
-    }
-
-    /// Pool-parallel [`SpikingLinear::forward`]; bit-identical at any pool
-    /// width.
-    pub fn forward_with(&self, input: &SpikeTensor, pool: &ComputePool) -> SpikeTensor {
-        let integration = self.synaptic_integration_with(input, pool);
-        lif_over_time(&integration, self.lif)
     }
 }
 
@@ -256,40 +184,5 @@ mod tests {
         let weight = DenseMatrix::zeros(3, 3);
         let x = SpikeTensor::zeros(TensorShape::new(1, 2, 2));
         spike_matmul(&x, 0, &weight);
-    }
-
-    #[test]
-    fn forward_produces_binary_output_of_right_shape() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let layer = SpikingLinear::random(8, 16, 0.5, LifConfig::default(), &mut rng);
-        let x = SpikeTensor::from_fn(TensorShape::new(3, 5, 8), |_, n, d| (n + d) % 2 == 0);
-        let y = layer.forward(&x);
-        assert_eq!(y.shape(), TensorShape::new(3, 5, 16));
-        assert_eq!(layer.in_features(), 8);
-        assert_eq!(layer.out_features(), 16);
-    }
-
-    #[test]
-    fn stronger_weights_fire_more() {
-        let weak = SpikingLinear::from_weight(
-            DenseMatrix::from_fn(4, 4, |_, _| 0.05),
-            LifConfig::default(),
-        );
-        let strong = SpikingLinear::from_weight(
-            DenseMatrix::from_fn(4, 4, |_, _| 0.6),
-            LifConfig::default(),
-        );
-        let x = SpikeTensor::ones(TensorShape::new(4, 4, 4));
-        assert!(strong.forward(&x).count_ones() > weak.forward(&x).count_ones());
-    }
-
-    #[test]
-    fn synaptic_integration_has_one_matrix_per_timestep() {
-        let layer = SpikingLinear::from_weight(DenseMatrix::zeros(4, 2), LifConfig::default());
-        let x = SpikeTensor::zeros(TensorShape::new(5, 3, 4));
-        let integration = layer.synaptic_integration(&x);
-        assert_eq!(integration.len(), 5);
-        assert_eq!(integration[0].rows(), 3);
-        assert_eq!(integration[0].cols(), 2);
     }
 }

@@ -1,11 +1,10 @@
 //! Multi-head Spiking Self-Attention (SSA), Eq. 3–8 of the paper.
 
-use bishop_neuron::{lif_over_time, LifConfig};
+use bishop_neuron::LifConfig;
 use bishop_spiketensor::words::simd;
 use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
 use rand::Rng;
 
-use crate::parallel::ComputePool;
 use crate::projection::SpikingLinear;
 
 /// The SSA `S·V` select-accumulate for one head and one timestep:
@@ -83,46 +82,6 @@ pub fn select_accumulate_reference(
                 head_output.add_assign(i, d0 + d, weight);
             }
         }
-    }
-}
-
-/// Output bundle of an SSA block forward pass.
-///
-/// Besides the block output it exposes the intermediate binary tensors the
-/// accelerator operates on (Q/K/V, the spiking attention output before the
-/// final projection), because those are exactly the operands the Bishop
-/// attention core loads, the ECP algorithm prunes, and the workload builder
-/// captures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SsaOutput {
-    /// Spiking queries (all heads concatenated), `T × N × D`.
-    pub q: SpikeTensor,
-    /// Spiking keys, `T × N × D`.
-    pub k: SpikeTensor,
-    /// Spiking values, `T × N × D`.
-    pub v: SpikeTensor,
-    /// Binary attention activations `O_temp = LIF(concat(S·V))`, `T × N × D`
-    /// (Eq. 7).
-    pub o_temp: SpikeTensor,
-    /// Block output after the final projection `W_O` and its LIF stage,
-    /// `T × N × D`.
-    pub output: SpikeTensor,
-    /// Integer attention score matrices, indexed `[head][timestep]`, each
-    /// `N × N`. Scores are *unscaled* accumulations of AND operations; the
-    /// power-of-two scaling is applied when computing `Y`.
-    pub scores: Vec<Vec<DenseMatrix>>,
-}
-
-impl SsaOutput {
-    /// Maximum attention score observed across all heads/timesteps; bounded
-    /// by the per-head feature count because Q/K are binary (this is the
-    /// property ECP's error bound builds on).
-    pub fn max_score(&self) -> f32 {
-        self.scores
-            .iter()
-            .flatten()
-            .map(|m| m.as_slice().iter().cloned().fold(0.0, f32::max))
-            .fold(0.0, f32::max)
     }
 }
 
@@ -299,74 +258,6 @@ impl SpikingSelfAttention {
         s
     }
 
-    /// Full forward pass of the SSA block.
-    pub fn forward(&self, x: &SpikeTensor) -> SsaOutput {
-        self.forward_with(x, &ComputePool::sequential())
-    }
-
-    /// Pool-parallel [`SpikingSelfAttention::forward`].
-    ///
-    /// The score + select-accumulate stage fans out over *timesteps*: each
-    /// task computes every head's `S` matrix (ascending head order) and the
-    /// full concatenated head-output plane for its timestep. Heads write
-    /// disjoint feature columns and timesteps are independent before the
-    /// `O_temp` LIF stage, so any pool width produces bit-for-bit the same
-    /// activations as the sequential pass.
-    pub fn forward_with(&self, x: &SpikeTensor, pool: &ComputePool) -> SsaOutput {
-        let shape = x.shape();
-        let q = self.wq.forward_with(x, pool);
-        let k = self.wk.forward_with(x, pool);
-        let v = self.wv.forward_with(x, pool);
-
-        let head_dim = shape.features / self.heads;
-        let scale = 2.0_f32.powi(-(self.scale_shift as i32));
-        let heads = self.heads;
-
-        let per_timestep = pool.run(shape.timesteps, |t| {
-            // Synaptic input to the O_temp LIF layer: concatenated head
-            // outputs for this timestep.
-            let mut head_output = DenseMatrix::zeros(shape.tokens, shape.features);
-            let mut timestep_scores = Vec::with_capacity(heads);
-            for h in 0..heads {
-                let d0 = h * head_dim;
-                let d1 = d0 + head_dim;
-                // Q/K/V head sub-rows are zero-copy word views; no
-                // head_slice copies on the hot path.
-                let s = Self::attention_scores_in(&q, &k, t, d0, d1);
-                // Y[t] = (S · s) · V[t]  — V is binary, so this is the
-                // spike-masked select-accumulate kernel.
-                select_accumulate(&mut head_output, &s, scale, &v, t, d0, d1);
-                timestep_scores.push(s);
-            }
-            (timestep_scores, head_output)
-        });
-
-        let mut scores: Vec<Vec<DenseMatrix>> = (0..heads)
-            .map(|_| Vec::with_capacity(shape.timesteps))
-            .collect();
-        let mut head_outputs: Vec<DenseMatrix> = Vec::with_capacity(shape.timesteps);
-        for (timestep_scores, head_output) in per_timestep {
-            for (h, s) in timestep_scores.into_iter().enumerate() {
-                scores[h].push(s);
-            }
-            head_outputs.push(head_output);
-        }
-
-        // Eq. 7: LIF over the concatenated head outputs.
-        let o_temp = lif_over_time(&head_outputs, self.wq.lif_config());
-        // Eq. 8 + re-binarisation by the next stage's spike generator.
-        let output = self.wo.forward_with(&o_temp, pool);
-
-        SsaOutput {
-            q,
-            k,
-            v,
-            o_temp,
-            output,
-            scores,
-        }
-    }
-
     /// Shape of the activations this block expects, given a token count and
     /// timestep count.
     pub fn expected_shape(&self, timesteps: usize, tokens: usize) -> TensorShape {
@@ -400,51 +291,13 @@ mod tests {
 
     #[test]
     fn scores_are_bounded_by_head_features() {
-        let ssa = block(16, 4);
-        let shape = TensorShape::new(2, 6, 16);
-        let x = SpikeTensor::ones(shape);
-        let out = ssa.forward(&x);
-        // Per-head feature count is 4, so no score can exceed 4.
-        assert!(out.max_score() <= 4.0);
-    }
-
-    #[test]
-    fn forward_shapes_are_consistent() {
-        let ssa = block(8, 2);
-        let shape = TensorShape::new(3, 5, 8);
-        let x = SpikeTensor::from_fn(shape, |t, n, d| (t + n + d) % 2 == 0);
-        let out = ssa.forward(&x);
-        assert_eq!(out.q.shape(), shape);
-        assert_eq!(out.k.shape(), shape);
-        assert_eq!(out.v.shape(), shape);
-        assert_eq!(out.o_temp.shape(), shape);
-        assert_eq!(out.output.shape(), shape);
-        assert_eq!(out.scores.len(), 2);
-        assert_eq!(out.scores[0].len(), 3);
-        assert_eq!(out.scores[0][0].rows(), 5);
-    }
-
-    #[test]
-    fn empty_input_produces_empty_attention() {
-        let ssa = block(8, 2);
-        let x = SpikeTensor::zeros(TensorShape::new(2, 4, 8));
-        let out = ssa.forward(&x);
-        assert_eq!(out.q.count_ones(), 0);
-        assert_eq!(out.k.count_ones(), 0);
-        assert_eq!(out.o_temp.count_ones(), 0);
-        assert_eq!(out.max_score(), 0.0);
-    }
-
-    #[test]
-    fn all_outputs_are_binary_tensors() {
-        // By construction SpikeTensor is binary; this checks the densities
-        // are sane (not everything fires).
-        let ssa = block(16, 4);
-        let shape = TensorShape::new(2, 8, 16);
-        let x = SpikeTensor::from_fn(shape, |t, n, d| (t * 31 + n * 17 + d * 7) % 5 == 0);
-        let out = ssa.forward(&x);
-        assert!(out.output.density() <= 1.0);
-        assert!(out.q.density() <= 1.0);
+        // Q and K are binary, so no per-head score can exceed the head's
+        // feature count (the property ECP's error bound builds on).
+        let x = SpikeTensor::ones(TensorShape::new(2, 6, 16));
+        for h in 0..4 {
+            let s = SpikingSelfAttention::attention_scores_in(&x, &x, 1, 4 * h, 4 * h + 4);
+            assert!(s.as_slice().iter().all(|&score| score == 4.0));
+        }
     }
 
     #[test]

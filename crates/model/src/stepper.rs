@@ -1,15 +1,21 @@
-//! Timestep-by-timestep execution of a [`SpikingTransformer`] with
-//! exportable LIF state — the model-layer half of streamed, stateful
-//! serving.
+//! The model's forward pass: a [`TransformerStepper`] advances a
+//! [`SpikingTransformer`] a window of timesteps at a time, one layer at a
+//! time, from persistent and exportable LIF state.
 //!
-//! [`SpikingTransformer::infer`] runs the whole `T`-timestep tensor pass in
-//! one call and drops every membrane potential at the end. The
-//! [`TransformerStepper`] runs the *same arithmetic in the same order* one
-//! timestep at a time: all cross-timestep coupling in the model flows
-//! through LIF membrane potentials (the attention scores, value mixing and
-//! residual ORs are timestep-local), so stepping with persistent
-//! [`LifLayer`] state is **bit-identical** to the full-tensor pass — the
-//! differential tests below pin that property.
+//! All cross-timestep coupling in the model flows through LIF membrane
+//! potentials (the attention scores, value mixing and residual ORs are
+//! timestep-local), so the window width only decides how many timestep
+//! planes each layer processes before the next layer runs. Every element
+//! sees the same arithmetic in the same order at any width, so any split of
+//! the timestep axis into windows yields **bit-identical** spikes, membranes
+//! and logits:
+//!
+//! * `w = 1` is streaming ([`TransformerStepper::step`]);
+//! * `w = BSt` (a Token-Time Bundle's timestep extent) materialises one
+//!   bundle's Q/K/V before any of it is scored;
+//! * `w = T` is [`SpikingTransformer::infer`]'s layer-at-a-time order over
+//!   the whole tensor (and, with a recorder attached,
+//!   [`SpikingTransformer::capture`]'s workload trace).
 //!
 //! Between requests the stepper's state can be exported as a
 //! [`ModelState`] (per-layer membrane potentials plus the accumulated
@@ -18,13 +24,19 @@
 //! [`TransformerStepper::resume`]. A session split across requests
 //! therefore produces exactly the logits of one long request.
 
-use bishop_neuron::LifLayer;
-use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
+use std::fmt;
 
-use crate::parallel::ComputePool;
-use crate::projection::{spike_matmul, spike_matmul_with};
+use bishop_neuron::LifLayer;
+use bishop_spiketensor::{DenseMatrix, SpikeTensor};
+
+use crate::config::ModelConfig;
+use crate::encoder::EncoderBlock;
+use crate::projection::{spike_matmul, SpikingLinear};
 use crate::ssa::{select_accumulate, SpikingSelfAttention};
 use crate::transformer::SpikingTransformer;
+use crate::workload::{
+    score_bits_for, AttentionWorkload, LayerKind, LayerWorkload, ModelWorkload, ProjectionWorkload,
+};
 
 /// Exported LIF membrane state of one encoder block (one vector per spike
 /// generator, flattened `token`-major exactly as [`LifLayer`] steps them).
@@ -75,6 +87,30 @@ impl ModelState {
     }
 }
 
+/// Why a [`ModelState`] cannot resume against a model: one of its vectors
+/// has a width the model's architecture does not have.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StateMismatch {
+    /// The mismatching part of the state.
+    pub part: &'static str,
+    /// The width the model needs.
+    pub expected: usize,
+    /// The width the state has.
+    pub found: usize,
+}
+
+impl fmt::Display for StateMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "model state does not match the model: {} has width {}, expected {}",
+            self.part, self.found, self.expected
+        )
+    }
+}
+
+impl std::error::Error for StateMismatch {}
+
 /// What one executed timestep produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepOutcome {
@@ -85,9 +121,9 @@ pub struct StepOutcome {
     pub spikes: usize,
 }
 
-/// The classifier readout over everything executed so far.
+/// The classifier readout over every executed timestep.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PooledReadout {
+pub struct Readout {
     /// Per-class logits (mean pooled firing rate through the classifier).
     pub logits: Vec<f32>,
     /// Index of the highest logit.
@@ -106,8 +142,104 @@ struct BlockLayers {
     fc2: LifLayer,
 }
 
-/// Executes a [`SpikingTransformer`] one timestep at a time with
-/// persistent, exportable LIF state.
+impl BlockLayers {
+    /// The block's spike generators at the given membrane potentials.
+    fn from_state(block: &EncoderBlock, state: BlockState) -> Self {
+        let (ssa, mlp) = (block.ssa(), block.mlp());
+        let layer =
+            |linear: &SpikingLinear, v_mem| LifLayer::from_potentials(linear.lif_config(), v_mem);
+        Self {
+            wq: layer(ssa.wq(), state.wq),
+            wk: layer(ssa.wk(), state.wk),
+            wv: layer(ssa.wv(), state.wv),
+            // Eq. 7: the O_temp LIF stage shares the Q projection's neuron
+            // configuration.
+            o_temp: layer(ssa.wq(), state.o_temp),
+            wo: layer(ssa.wo(), state.wo),
+            fc1: layer(mlp.fc1(), state.fc1),
+            fc2: layer(mlp.fc2(), state.fc2),
+        }
+    }
+
+    fn export(&self) -> BlockState {
+        BlockState {
+            wq: self.wq.membrane_potentials().to_vec(),
+            wk: self.wk.membrane_potentials().to_vec(),
+            wv: self.wv.membrane_potentials().to_vec(),
+            o_temp: self.o_temp.membrane_potentials().to_vec(),
+            wo: self.wo.membrane_potentials().to_vec(),
+            fc1: self.fc1.membrane_potentials().to_vec(),
+            fc2: self.fc2.membrane_potentials().to_vec(),
+        }
+    }
+}
+
+/// The state of an execution that has run no timestep: every membrane at
+/// its layer's reset potential.
+fn reset_state(model: &SpikingTransformer) -> ModelState {
+    let config = model.config();
+    let units = config.tokens * config.features;
+    let hidden_units = config.tokens * config.mlp_hidden();
+    let reset = |linear: &SpikingLinear, n| vec![linear.lif_config().v_reset; n];
+    ModelState {
+        tokenizer: vec![model.tokenizer().lif_config().v_reset; units],
+        blocks: model
+            .blocks()
+            .iter()
+            .map(|block| {
+                let (ssa, mlp) = (block.ssa(), block.mlp());
+                BlockState {
+                    wq: reset(ssa.wq(), units),
+                    wk: reset(ssa.wk(), units),
+                    wv: reset(ssa.wv(), units),
+                    o_temp: reset(ssa.wq(), units),
+                    wo: reset(ssa.wo(), units),
+                    fc1: reset(mlp.fc1(), hidden_units),
+                    fc2: reset(mlp.fc2(), units),
+                }
+            })
+            .collect(),
+        pooled_counts: vec![0; config.features],
+        timesteps_done: 0,
+    }
+}
+
+/// Checks every width of `state` against the model's architecture.
+fn check_state(model: &SpikingTransformer, state: &ModelState) -> Result<(), StateMismatch> {
+    let config = model.config();
+    let units = config.tokens * config.features;
+    let hidden_units = config.tokens * config.mlp_hidden();
+    let mut widths = vec![
+        ("encoder blocks", model.blocks().len(), state.blocks.len()),
+        ("tokenizer membranes", units, state.tokenizer.len()),
+        ("pooled counts", config.features, state.pooled_counts.len()),
+    ];
+    for block in &state.blocks {
+        widths.extend([
+            ("wq membranes", units, block.wq.len()),
+            ("wk membranes", units, block.wk.len()),
+            ("wv membranes", units, block.wv.len()),
+            ("o_temp membranes", units, block.o_temp.len()),
+            ("wo membranes", units, block.wo.len()),
+            ("fc1 membranes", hidden_units, block.fc1.len()),
+            ("fc2 membranes", units, block.fc2.len()),
+        ]);
+    }
+    match widths
+        .into_iter()
+        .find(|&(_, expected, found)| expected != found)
+    {
+        Some((part, expected, found)) => Err(StateMismatch {
+            part,
+            expected,
+            found,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Executes a [`SpikingTransformer`] window by window with persistent,
+/// exportable LIF state — the model's only forward implementation.
 #[derive(Debug)]
 pub struct TransformerStepper<'a> {
     model: &'a SpikingTransformer,
@@ -118,7 +250,6 @@ pub struct TransformerStepper<'a> {
     blocks: Vec<BlockLayers>,
     pooled_counts: Vec<u64>,
     timesteps_done: usize,
-    pool: ComputePool,
 }
 
 impl<'a> TransformerStepper<'a> {
@@ -130,7 +261,35 @@ impl<'a> TransformerStepper<'a> {
     /// Panics if the patch matrix has the wrong number of tokens or
     /// features for the model.
     pub fn new(model: &'a SpikingTransformer, patches: &DenseMatrix) -> Self {
+        Self::start(model, patches, reset_state(model))
+    }
+
+    /// Resumes a parked execution from an exported [`ModelState`].
+    ///
+    /// The patch input must be the same one the exporting stepper ran on
+    /// (sessions pin their input seed for exactly this reason).
+    ///
+    /// # Errors
+    ///
+    /// [`StateMismatch`] if the state's block count or any of its widths
+    /// does not match the model architecture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the patch matrix has the wrong number of tokens or
+    /// features for the model.
+    pub fn resume(
+        model: &'a SpikingTransformer,
+        patches: &DenseMatrix,
+        state: ModelState,
+    ) -> Result<Self, StateMismatch> {
+        check_state(model, &state)?;
+        Ok(Self::start(model, patches, state))
+    }
+
+    fn start(model: &'a SpikingTransformer, patches: &DenseMatrix, state: ModelState) -> Self {
         let config = model.config();
+        let tokenizer = model.tokenizer();
         assert_eq!(
             patches.rows(),
             config.tokens,
@@ -138,111 +297,26 @@ impl<'a> TransformerStepper<'a> {
             config.tokens,
             patches.rows()
         );
-        let charge = patches.matmul(model.tokenizer().weight());
-        let units = config.tokens * config.features;
-        let hidden_units = config.tokens * config.mlp_hidden();
-        let blocks = model
-            .blocks()
-            .iter()
-            .map(|block| {
-                let ssa = block.ssa();
-                let mlp = block.mlp();
-                BlockLayers {
-                    wq: LifLayer::new(units, ssa.wq().lif_config()),
-                    wk: LifLayer::new(units, ssa.wk().lif_config()),
-                    wv: LifLayer::new(units, ssa.wv().lif_config()),
-                    // Eq. 7: the O_temp LIF stage shares the Q projection's
-                    // neuron configuration (matching `SpikingSelfAttention`).
-                    o_temp: LifLayer::new(units, ssa.wq().lif_config()),
-                    wo: LifLayer::new(units, ssa.wo().lif_config()),
-                    fc1: LifLayer::new(hidden_units, mlp.fc1().lif_config()),
-                    fc2: LifLayer::new(units, mlp.fc2().lif_config()),
-                }
-            })
-            .collect();
+        assert_eq!(
+            patches.cols(),
+            tokenizer.patch_features(),
+            "patch width {} does not match tokenizer input width {}",
+            patches.cols(),
+            tokenizer.patch_features()
+        );
         Self {
             model,
-            charge,
-            tokenizer: LifLayer::new(units, model.tokenizer().lif_config()),
-            blocks,
-            pooled_counts: vec![0; config.features],
-            timesteps_done: 0,
-            pool: ComputePool::sequential(),
+            charge: patches.matmul(tokenizer.weight()),
+            tokenizer: LifLayer::from_potentials(tokenizer.lif_config(), state.tokenizer),
+            blocks: model
+                .blocks()
+                .iter()
+                .zip(state.blocks)
+                .map(|(block, snapshot)| BlockLayers::from_state(block, snapshot))
+                .collect(),
+            pooled_counts: state.pooled_counts,
+            timesteps_done: state.timesteps_done,
         }
-    }
-
-    /// Attaches a compute pool: the Q/K/V integrations, the per-head
-    /// score/select stage, and the projection matmuls of each step fan out
-    /// across it. Stepping stays bit-for-bit identical to the sequential
-    /// stepper (and therefore to the full-tensor pass) at any pool width.
-    #[must_use]
-    pub fn with_pool(mut self, pool: ComputePool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Resumes a parked execution from an exported [`ModelState`].
-    ///
-    /// The patch input must be the same one the exporting stepper ran on
-    /// (sessions pin their input seed for exactly this reason); the state's
-    /// layer widths must match the model architecture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state's dimensions do not match the model.
-    pub fn resume(model: &'a SpikingTransformer, patches: &DenseMatrix, state: ModelState) -> Self {
-        let config = model.config();
-        let units = config.tokens * config.features;
-        let hidden_units = config.tokens * config.mlp_hidden();
-        assert_eq!(
-            state.blocks.len(),
-            model.blocks().len(),
-            "state has {} block snapshots for a {}-block model",
-            state.blocks.len(),
-            model.blocks().len()
-        );
-        assert_eq!(
-            state.tokenizer.len(),
-            units,
-            "tokenizer state width does not match the model"
-        );
-        assert_eq!(
-            state.pooled_counts.len(),
-            config.features,
-            "pooled-count width does not match the model"
-        );
-        let mut stepper = Self::new(model, patches);
-        stepper.tokenizer =
-            LifLayer::from_potentials(model.tokenizer().lif_config(), state.tokenizer);
-        for ((layers, snapshot), block) in stepper
-            .blocks
-            .iter_mut()
-            .zip(state.blocks)
-            .zip(model.blocks())
-        {
-            let ssa = block.ssa();
-            let mlp = block.mlp();
-            assert!(
-                snapshot.wq.len() == units
-                    && snapshot.wk.len() == units
-                    && snapshot.wv.len() == units
-                    && snapshot.o_temp.len() == units
-                    && snapshot.wo.len() == units
-                    && snapshot.fc1.len() == hidden_units
-                    && snapshot.fc2.len() == units,
-                "block state widths do not match the model"
-            );
-            layers.wq = LifLayer::from_potentials(ssa.wq().lif_config(), snapshot.wq);
-            layers.wk = LifLayer::from_potentials(ssa.wk().lif_config(), snapshot.wk);
-            layers.wv = LifLayer::from_potentials(ssa.wv().lif_config(), snapshot.wv);
-            layers.o_temp = LifLayer::from_potentials(ssa.wq().lif_config(), snapshot.o_temp);
-            layers.wo = LifLayer::from_potentials(ssa.wo().lif_config(), snapshot.wo);
-            layers.fc1 = LifLayer::from_potentials(mlp.fc1().lif_config(), snapshot.fc1);
-            layers.fc2 = LifLayer::from_potentials(mlp.fc2().lif_config(), snapshot.fc2);
-        }
-        stepper.pooled_counts = state.pooled_counts;
-        stepper.timesteps_done = state.timesteps_done;
-        stepper
     }
 
     /// Timesteps executed so far (including any resumed history).
@@ -250,91 +324,83 @@ impl<'a> TransformerStepper<'a> {
         self.timesteps_done
     }
 
-    /// Executes one timestep through every layer, updating all membrane
-    /// state and the pooled spike history.
+    /// Executes one timestep through every layer (a window of one).
     pub fn step(&mut self) -> StepOutcome {
-        let config = self.model.config();
-        let (tokens, features) = (config.tokens, config.features);
-        let mut x = step_lif(&mut self.tokenizer, &self.charge);
+        self.advance(1)
+            .pop()
+            .expect("a one-timestep window has one outcome")
+    }
 
-        for (block, layers) in self.model.blocks().iter().zip(self.blocks.iter_mut()) {
-            let ssa = block.ssa();
-            let mlp = block.mlp();
-            // The three Q/K/V synaptic integrations read the same input and
-            // are independent, so they fan out as a triple; the LIF steps
-            // stay on the caller (they mutate per-layer membrane state).
-            let weights = [ssa.wq().weight(), ssa.wk().weight(), ssa.wv().weight()];
-            let mut qkv = self
-                .pool
-                .run(3, |i| spike_matmul(&x, 0, weights[i]))
-                .into_iter();
-            let q = step_lif(&mut layers.wq, &qkv.next().expect("three integrations"));
-            let k = step_lif(&mut layers.wk, &qkv.next().expect("three integrations"));
-            let v = step_lif(&mut layers.wv, &qkv.next().expect("three integrations"));
+    /// Executes the next `window` timesteps, one layer at a time: each layer
+    /// integrates all `window` planes, steps its LIF neurons through them in
+    /// timestep order, and hands the resulting spike window to the next
+    /// layer. Returns one outcome per executed timestep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn advance(&mut self, window: usize) -> Vec<StepOutcome> {
+        self.advance_recording(window, None)
+    }
 
-            // One timestep of multi-head attention via the shared
-            // score/select-accumulate kernels, accumulated in exactly the
-            // order of `SpikingSelfAttention::forward` so the f32 sums match
-            // the full-tensor pass bit for bit. Heads write disjoint feature
-            // columns, so the parallel path computes per-head planes and
-            // copies their exact bits into place.
-            let head_dim = features / ssa.heads();
-            let scale = 2.0_f32.powi(-(ssa.scale_shift() as i32));
-            let mut head_output = DenseMatrix::zeros(tokens, features);
-            if self.pool.is_parallel() {
-                let partials = self.pool.run(ssa.heads(), |h| {
-                    let d0 = h * head_dim;
-                    let d1 = d0 + head_dim;
-                    let s = SpikingSelfAttention::attention_scores_in(&q, &k, 0, d0, d1);
-                    let mut partial = DenseMatrix::zeros(tokens, features);
-                    select_accumulate(&mut partial, &s, scale, &v, 0, d0, d1);
-                    partial
-                });
-                for (h, partial) in partials.iter().enumerate() {
-                    let d0 = h * head_dim;
-                    let d1 = d0 + head_dim;
-                    for i in 0..tokens {
-                        head_output.row_mut(i)[d0..d1].copy_from_slice(&partial.row(i)[d0..d1]);
-                    }
-                }
-            } else {
-                for h in 0..ssa.heads() {
-                    let d0 = h * head_dim;
-                    let d1 = d0 + head_dim;
-                    let s = SpikingSelfAttention::attention_scores_in(&q, &k, 0, d0, d1);
-                    select_accumulate(&mut head_output, &s, scale, &v, 0, d0, d1);
-                }
-            }
-            let o_temp = step_lif(&mut layers.o_temp, &head_output);
-            let ssa_out = step_lif(
-                &mut layers.wo,
-                &spike_matmul_with(&o_temp, 0, ssa.wo().weight(), &self.pool),
-            );
+    /// [`TransformerStepper::advance`] that also appends the window's
+    /// per-layer workload (the five layers of every block, in order) to
+    /// `recorder`. The recorded tensors are the window's own activations,
+    /// moved rather than copied.
+    pub(crate) fn advance_recording(
+        &mut self,
+        window: usize,
+        mut recorder: Option<&mut ModelWorkload>,
+    ) -> Vec<StepOutcome> {
+        assert!(window > 0, "a window covers at least one timestep");
+        let model = self.model;
+        let mut x = self.tokenizer.step_planes(&vec![&self.charge; window]);
+
+        for (index, (block, layers)) in model.blocks().iter().zip(&mut self.blocks).enumerate() {
+            let (ssa, mlp) = (block.ssa(), block.mlp());
+            // P1: Q/K/V projections of the block input.
+            let q = project(&mut layers.wq, ssa.wq(), &x);
+            let k = project(&mut layers.wk, ssa.wk(), &x);
+            let v = project(&mut layers.wv, ssa.wv(), &x);
+            // ATN: Eq. 7's LIF over the concatenated head outputs.
+            let o_temp = layers.o_temp.step_planes(&attend(ssa, &q, &k, &v));
+            // P2 and the attention residual.
             let mlp_input = x
-                .or(&ssa_out)
+                .or(&project(&mut layers.wo, ssa.wo(), &o_temp))
                 .expect("SSA output shape matches its input shape");
-            let hidden = step_lif(
-                &mut layers.fc1,
-                &spike_matmul_with(&mlp_input, 0, mlp.fc1().weight(), &self.pool),
-            );
-            let mlp_out = step_lif(
-                &mut layers.fc2,
-                &spike_matmul_with(&hidden, 0, mlp.fc2().weight(), &self.pool),
-            );
-            x = mlp_input
-                .or(&mlp_out)
+            // MLP and its residual.
+            let hidden = project(&mut layers.fc1, mlp.fc1(), &mlp_input);
+            let output = mlp_input
+                .or(&project(&mut layers.fc2, mlp.fc2(), &hidden))
                 .expect("MLP output shape matches its input shape");
+            if let Some(workload) = recorder.as_deref_mut() {
+                let trace = BlockTrace {
+                    input: x,
+                    q,
+                    k,
+                    v,
+                    o_temp,
+                    mlp_input,
+                    hidden,
+                };
+                trace.record(workload, model.config(), index);
+            }
+            x = output;
         }
 
-        let spikes = x.count_ones();
         for (slot, count) in self.pooled_counts.iter_mut().zip(x.per_feature_counts()) {
             *slot += count as u64;
         }
-        self.timesteps_done += 1;
-        StepOutcome {
-            timestep: self.timesteps_done - 1,
-            spikes,
-        }
+        let first = self.timesteps_done;
+        self.timesteps_done += window;
+        x.per_timestep_counts()
+            .into_iter()
+            .enumerate()
+            .map(|(t, spikes)| StepOutcome {
+                timestep: first + t,
+                spikes,
+            })
+            .collect()
     }
 
     /// Exports the full LIF state and pooled history (the stepper remains
@@ -342,77 +408,137 @@ impl<'a> TransformerStepper<'a> {
     pub fn export(&self) -> ModelState {
         ModelState {
             tokenizer: self.tokenizer.membrane_potentials().to_vec(),
-            blocks: self
-                .blocks
-                .iter()
-                .map(|layers| BlockState {
-                    wq: layers.wq.membrane_potentials().to_vec(),
-                    wk: layers.wk.membrane_potentials().to_vec(),
-                    wv: layers.wv.membrane_potentials().to_vec(),
-                    o_temp: layers.o_temp.membrane_potentials().to_vec(),
-                    wo: layers.wo.membrane_potentials().to_vec(),
-                    fc1: layers.fc1.membrane_potentials().to_vec(),
-                    fc2: layers.fc2.membrane_potentials().to_vec(),
-                })
-                .collect(),
+            blocks: self.blocks.iter().map(BlockLayers::export).collect(),
             pooled_counts: self.pooled_counts.clone(),
             timesteps_done: self.timesteps_done,
         }
     }
 
     /// The classifier readout over every timestep executed so far: the
-    /// pooled mean firing rate through the classification head, exactly as
-    /// [`SpikingTransformer::infer`] computes it over a full tensor.
+    /// pooled mean firing rate of the final encoder output through the
+    /// classification head.
     ///
     /// # Panics
     ///
     /// Panics if no timestep has been executed yet.
-    pub fn finish(&self) -> PooledReadout {
+    pub fn finish(&self) -> Readout {
         assert!(
             self.timesteps_done > 0,
             "readout needs at least one executed timestep"
         );
-        let config = self.model.config();
-        let denom = (self.timesteps_done * config.tokens) as f32;
+        let denom = (self.timesteps_done * self.model.config().tokens) as f32;
         let pooled: Vec<f32> = self
             .pooled_counts
             .iter()
             .map(|&c| c as f32 / denom)
             .collect();
-        let pooled_matrix = DenseMatrix::from_rows(&[pooled]);
-        let logits_matrix = pooled_matrix.matmul(self.model.classifier());
-        let logits: Vec<f32> = logits_matrix.row(0).to_vec();
+        let logits = DenseMatrix::from_rows(&[pooled])
+            .matmul(self.model.classifier())
+            .row(0)
+            .to_vec();
         let prediction = logits
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
             .map(|(i, _)| i)
             .unwrap_or(0);
-        PooledReadout { logits, prediction }
+        Readout { logits, prediction }
     }
 }
 
-/// Steps one LIF layer on a dense `N × D` synaptic-integration plane and
-/// packs the firing vector into a 1-timestep spike tensor. Flattening is
-/// token-major, matching `lif_over_time`'s neuron layout exactly.
-fn step_lif(layer: &mut LifLayer, integration: &DenseMatrix) -> SpikeTensor {
-    let (tokens, features) = (integration.rows(), integration.cols());
-    let mut flat = vec![0.0f32; tokens * features];
-    for n in 0..tokens {
-        for d in 0..features {
-            flat[n * features + d] = integration.get(n, d);
-        }
-    }
-    let fired = layer.step(&flat);
-    let mut plane = SpikeTensor::zeros(TensorShape::new(1, tokens, features));
-    for n in 0..tokens {
-        for d in 0..features {
-            if fired[n * features + d] {
-                plane.set(0, n, d, true);
+/// A spiking linear layer over a spike window: `X[t]·W` per plane on the
+/// `spike_matmul` kernel, then the layer's LIF neurons.
+fn project(lif: &mut LifLayer, linear: &SpikingLinear, x: &SpikeTensor) -> SpikeTensor {
+    let integration: Vec<DenseMatrix> = (0..x.shape().timesteps)
+        .map(|t| spike_matmul(x, t, linear.weight()))
+        .collect();
+    lif.step_planes(&integration)
+}
+
+/// Eq. 5–7 up to the `O_temp` LIF: per timestep and head, the integer
+/// scores `S = Q·Kᵀ` and the scaled `S·V` select-accumulate into the
+/// concatenated head-output plane.
+fn attend(
+    ssa: &SpikingSelfAttention,
+    q: &SpikeTensor,
+    k: &SpikeTensor,
+    v: &SpikeTensor,
+) -> Vec<DenseMatrix> {
+    let shape = q.shape();
+    let head_dim = shape.features / ssa.heads();
+    let scale = 2.0_f32.powi(-(ssa.scale_shift() as i32));
+    (0..shape.timesteps)
+        .map(|t| {
+            let mut head_output = DenseMatrix::zeros(shape.tokens, shape.features);
+            for h in 0..ssa.heads() {
+                let (d0, d1) = (h * head_dim, (h + 1) * head_dim);
+                let s = SpikingSelfAttention::attention_scores_in(q, k, t, d0, d1);
+                select_accumulate(&mut head_output, &s, scale, v, t, d0, d1);
             }
-        }
+            head_output
+        })
+        .collect()
+}
+
+/// One block's activations over a window, as the workload recorder keeps
+/// them.
+struct BlockTrace {
+    input: SpikeTensor,
+    q: SpikeTensor,
+    k: SpikeTensor,
+    v: SpikeTensor,
+    o_temp: SpikeTensor,
+    mlp_input: SpikeTensor,
+    hidden: SpikeTensor,
+}
+
+impl BlockTrace {
+    /// Appends the block's P1, ATN, P2, fc1 and fc2 layers.
+    fn record(self, workload: &mut ModelWorkload, config: &ModelConfig, block: usize) {
+        let projection = |kind, label: &str, input, output_features| {
+            LayerWorkload::Projection(ProjectionWorkload {
+                block,
+                kind,
+                label: format!("block{block}.{label}"),
+                input,
+                output_features,
+                weight_bits: config.weight_bits,
+            })
+        };
+        workload.push(projection(
+            LayerKind::QkvProjection,
+            "P1",
+            self.input,
+            3 * config.features,
+        ));
+        workload.push(LayerWorkload::Attention(AttentionWorkload {
+            block,
+            label: format!("block{block}.ATN"),
+            q: self.q,
+            k: self.k,
+            v: self.v,
+            heads: config.heads,
+            score_bits: score_bits_for(config),
+        }));
+        workload.push(projection(
+            LayerKind::OutputProjection,
+            "P2",
+            self.o_temp,
+            config.features,
+        ));
+        workload.push(projection(
+            LayerKind::MlpFc1,
+            "MLP.fc1",
+            self.mlp_input,
+            config.mlp_hidden(),
+        ));
+        workload.push(projection(
+            LayerKind::MlpFc2,
+            "MLP.fc2",
+            self.hidden,
+            config.features,
+        ));
     }
-    plane
 }
 
 #[cfg(test)]
@@ -431,33 +557,20 @@ mod tests {
     }
 
     #[test]
-    fn stepping_matches_full_tensor_inference_bit_for_bit() {
+    fn stepping_matches_full_window_inference_bit_for_bit() {
         let (model, patches) = model_and_patches(41);
         let reference = model.infer(&patches);
-        let mut stepper = TransformerStepper::new(&model, &patches);
         let timesteps = model.config().timesteps;
-        let mut spikes_per_step = Vec::new();
-        for t in 0..timesteps {
+        let mut whole = TransformerStepper::new(&model, &patches);
+        let expected = whole.advance(timesteps);
+        let mut stepper = TransformerStepper::new(&model, &patches);
+        for (t, expected) in expected.iter().enumerate() {
             let outcome = stepper.step();
             assert_eq!(outcome.timestep, t);
-            spikes_per_step.push(outcome.spikes);
+            assert_eq!(&outcome, expected, "timestep {t} spike count");
         }
-        let readout = stepper.finish();
-        assert_eq!(
-            readout.logits, reference.logits,
-            "logits must be bit-identical"
-        );
-        assert_eq!(readout.prediction, reference.prediction);
-        // The per-step spike counts are the per-timestep slices of the full
-        // pass's final encoder output.
-        let final_spikes = &reference.final_spikes;
-        for (t, &spikes) in spikes_per_step.iter().enumerate() {
-            let shape = final_spikes.shape();
-            let expected = (0..shape.tokens)
-                .map(|n| final_spikes.row_words(t, n).count_ones())
-                .sum::<usize>();
-            assert_eq!(spikes, expected, "timestep {t} spike count");
-        }
+        assert_eq!(stepper.finish(), reference, "logits must be bit-identical");
+        assert_eq!(stepper.export(), whole.export());
     }
 
     #[test]
@@ -479,7 +592,8 @@ mod tests {
             }
             let parked = first.export();
             assert_eq!(parked.timesteps_done, split);
-            let mut second = TransformerStepper::resume(&model, &patches, parked);
+            let mut second =
+                TransformerStepper::resume(&model, &patches, parked).expect("state fits the model");
             for _ in split..timesteps {
                 second.step();
             }
@@ -494,19 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn resumed_state_matches_full_inference_too() {
-        let (model, patches) = model_and_patches(43);
-        let reference = model.infer(&patches);
-        let mut first = TransformerStepper::new(&model, &patches);
-        first.step();
-        first.step();
-        let mut second = TransformerStepper::resume(&model, &patches, first.export());
-        second.step();
-        second.step();
-        assert_eq!(second.finish().logits, reference.logits);
-    }
-
-    #[test]
     #[should_panic(expected = "expected 8 tokens")]
     fn wrong_patch_tokens_are_rejected() {
         let (model, _) = model_and_patches(44);
@@ -514,12 +615,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block state widths")]
-    fn mismatched_state_is_rejected() {
+    #[should_panic(expected = "does not match tokenizer input width")]
+    fn wrong_patch_width_is_rejected() {
+        let (model, _) = model_and_patches(44);
+        TransformerStepper::new(&model, &DenseMatrix::zeros(8, 15));
+    }
+
+    #[test]
+    fn mismatched_state_is_a_typed_error() {
         let (model, patches) = model_and_patches(45);
-        let mut state = TransformerStepper::new(&model, &patches).export();
-        state.blocks[0].wq.pop();
-        TransformerStepper::resume(&model, &patches, state);
+        let fresh = TransformerStepper::new(&model, &patches).export();
+
+        let mut narrow = fresh.clone();
+        narrow.blocks[1].fc1.pop();
+        let error = TransformerStepper::resume(&model, &patches, narrow).unwrap_err();
+        assert_eq!(
+            error,
+            StateMismatch {
+                part: "fc1 membranes",
+                expected: 8 * 64,
+                found: 8 * 64 - 1,
+            }
+        );
+        assert!(error.to_string().contains("fc1 membranes"), "{error}");
+
+        let mut short = fresh;
+        short.blocks.pop();
+        let error = TransformerStepper::resume(&model, &patches, short).unwrap_err();
+        assert_eq!(error.part, "encoder blocks");
+        assert_eq!((error.expected, error.found), (2, 1));
     }
 
     #[test]
@@ -527,5 +651,12 @@ mod tests {
     fn readout_requires_progress() {
         let (model, patches) = model_and_patches(46);
         TransformerStepper::new(&model, &patches).finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one timestep")]
+    fn empty_windows_are_rejected() {
+        let (model, patches) = model_and_patches(47);
+        TransformerStepper::new(&model, &patches).advance(0);
     }
 }

@@ -1,5 +1,5 @@
 //! The complete spiking transformer: tokenizer, encoder blocks, and
-//! classification head, with activation-trace capture.
+//! classification head, with opt-in activation-trace capture.
 
 use bishop_neuron::LifConfig;
 use bishop_spiketensor::{DenseMatrix, SpikeTensor};
@@ -7,26 +7,9 @@ use rand::Rng;
 
 use crate::config::ModelConfig;
 use crate::encoder::EncoderBlock;
-use crate::parallel::ComputePool;
+use crate::stepper::{Readout, TransformerStepper};
 use crate::tokenizer::SpikingTokenizer;
-use crate::workload::{
-    score_bits_for, AttentionWorkload, LayerKind, LayerWorkload, ModelWorkload, ProjectionWorkload,
-};
-
-/// Result of one end-to-end inference: class logits plus the captured
-/// per-layer workload (the activation trace the accelerator simulators run).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferenceResult {
-    /// Per-class logits (average firing rate of the pooled representation
-    /// through the classifier).
-    pub logits: Vec<f32>,
-    /// Index of the highest logit.
-    pub prediction: usize,
-    /// The captured per-layer workload of this inference.
-    pub workload: ModelWorkload,
-    /// Final encoder output spikes.
-    pub final_spikes: SpikeTensor,
-}
+use crate::workload::ModelWorkload;
 
 /// A complete spiking vision/speech transformer (Fig. 2 of the paper).
 #[derive(Debug, Clone, PartialEq)]
@@ -114,105 +97,31 @@ impl SpikingTransformer {
             .collect()
     }
 
-    /// Runs inference on an `N × P` patch matrix and captures the per-layer
-    /// workload.
+    /// Runs inference on an `N × P` patch matrix: a fresh
+    /// [`TransformerStepper`] advanced over all `T` timesteps as one window,
+    /// then read out.
     ///
     /// # Panics
     ///
     /// Panics if the patch matrix has the wrong number of tokens or features.
-    pub fn infer(&self, patches: &DenseMatrix) -> InferenceResult {
-        self.infer_with(patches, &ComputePool::sequential())
+    pub fn infer(&self, patches: &DenseMatrix) -> Readout {
+        let mut stepper = TransformerStepper::new(self, patches);
+        stepper.advance(self.config.timesteps);
+        stepper.finish()
     }
 
-    /// Pool-parallel [`SpikingTransformer::infer`]: the per-layer compute
-    /// (projection timesteps, attention score/select timesteps, MLP
-    /// timesteps) fans out across the pool while the layer-to-layer dataflow
-    /// stays sequential. Bit-for-bit identical to `infer` at any pool width.
+    /// Runs the same `T`-timestep window as [`SpikingTransformer::infer`]
+    /// with a recorder attached, returning the per-layer workload (the
+    /// activation trace the accelerator simulators run).
     ///
     /// # Panics
     ///
     /// Panics if the patch matrix has the wrong number of tokens or features.
-    pub fn infer_with(&self, patches: &DenseMatrix, pool: &ComputePool) -> InferenceResult {
-        assert_eq!(
-            patches.rows(),
-            self.config.tokens,
-            "expected {} tokens, got {}",
-            self.config.tokens,
-            patches.rows()
-        );
+    pub fn capture(&self, patches: &DenseMatrix) -> ModelWorkload {
         let mut workload = ModelWorkload::new(self.config.clone());
-        let mut x = self.tokenizer.tokenize(patches);
-
-        for (block_index, block) in self.blocks.iter().enumerate() {
-            // P1: Q/K/V projection operates on the block input.
-            workload.push(LayerWorkload::Projection(ProjectionWorkload {
-                block: block_index,
-                kind: LayerKind::QkvProjection,
-                label: format!("block{block_index}.P1"),
-                input: x.clone(),
-                output_features: 3 * self.config.features,
-                weight_bits: self.config.weight_bits,
-            }));
-
-            let out = block.forward_with(&x, pool);
-
-            workload.push(LayerWorkload::Attention(AttentionWorkload {
-                block: block_index,
-                label: format!("block{block_index}.ATN"),
-                q: out.ssa.q.clone(),
-                k: out.ssa.k.clone(),
-                v: out.ssa.v.clone(),
-                heads: self.config.heads,
-                score_bits: score_bits_for(&self.config),
-            }));
-
-            workload.push(LayerWorkload::Projection(ProjectionWorkload {
-                block: block_index,
-                kind: LayerKind::OutputProjection,
-                label: format!("block{block_index}.P2"),
-                input: out.ssa.o_temp.clone(),
-                output_features: self.config.features,
-                weight_bits: self.config.weight_bits,
-            }));
-
-            workload.push(LayerWorkload::Projection(ProjectionWorkload {
-                block: block_index,
-                kind: LayerKind::MlpFc1,
-                label: format!("block{block_index}.MLP.fc1"),
-                input: out.mlp_input.clone(),
-                output_features: self.config.mlp_hidden(),
-                weight_bits: self.config.weight_bits,
-            }));
-
-            workload.push(LayerWorkload::Projection(ProjectionWorkload {
-                block: block_index,
-                kind: LayerKind::MlpFc2,
-                label: format!("block{block_index}.MLP.fc2"),
-                input: out.mlp.hidden.clone(),
-                output_features: self.config.features,
-                weight_bits: self.config.weight_bits,
-            }));
-
-            x = out.output;
-        }
-
-        let pooled = Self::pool(&x);
-        let pooled_matrix = DenseMatrix::from_rows(&[pooled]);
-        let logits_matrix = pooled_matrix.matmul(&self.classifier);
-        let logits: Vec<f32> = logits_matrix.row(0).to_vec();
-        let prediction = logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("logits are finite"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-
-        InferenceResult {
-            logits,
-            prediction,
-            workload,
-            final_spikes: x,
-        }
+        TransformerStepper::new(self, patches)
+            .advance_recording(self.config.timesteps, Some(&mut workload));
+        workload
     }
 }
 
@@ -232,15 +141,14 @@ mod tests {
     }
 
     #[test]
-    fn inference_produces_logits_and_workload() {
+    fn inference_produces_logits_and_capture_a_workload() {
         let (config, model) = tiny_model();
         let mut rng = StdRng::seed_from_u64(100);
         let patches = DenseMatrix::random_uniform(config.tokens, 12, 1.0, &mut rng);
         let result = model.infer(&patches);
         assert_eq!(result.logits.len(), 10);
         assert!(result.prediction < 10);
-        assert_eq!(result.workload.layers().len(), 5 * config.blocks);
-        assert_eq!(result.final_spikes.shape(), TensorShape::new(3, 8, 16));
+        assert_eq!(model.capture(&patches).layers().len(), 5 * config.blocks);
     }
 
     #[test]
@@ -248,12 +156,12 @@ mod tests {
         let (config, model) = tiny_model();
         let mut rng = StdRng::seed_from_u64(101);
         let patches = DenseMatrix::random_uniform(config.tokens, 12, 1.0, &mut rng);
-        let result = model.infer(&patches);
-        for p in result.workload.projection_layers() {
+        let workload = model.capture(&patches);
+        for p in workload.projection_layers() {
             assert_eq!(p.input.shape().tokens, config.tokens);
             assert_eq!(p.input.shape().timesteps, config.timesteps);
         }
-        for a in result.workload.attention_layers() {
+        for a in workload.attention_layers() {
             assert_eq!(a.shape(), config.activation_shape());
             assert_eq!(a.heads, config.heads);
         }

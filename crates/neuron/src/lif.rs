@@ -1,5 +1,7 @@
 //! Leaky Integrate-and-Fire dynamics (Eq. 1–2 of the paper).
 
+use std::borrow::Borrow;
+
 use bishop_spiketensor::{DenseMatrix, SpikeTensor, TensorShape};
 
 /// Parameters of the discretised LIF neuron.
@@ -167,6 +169,38 @@ impl LifLayer {
         spikes
     }
 
+    /// Steps the layer once per `N × D` synaptic-integration plane, in
+    /// timestep order, and packs the firing into a `planes × N × D` spike
+    /// tensor. Row-major plane storage is token-major, the layer's neuron
+    /// order, so each plane feeds the layer as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` is empty, the planes' dimensions differ, or a
+    /// plane's element count differs from the number of neurons.
+    pub fn step_planes<M: Borrow<DenseMatrix>>(&mut self, planes: &[M]) -> SpikeTensor {
+        let first = planes
+            .first()
+            .expect("need at least one timestep of input")
+            .borrow();
+        let (tokens, features) = (first.rows(), first.cols());
+        let mut spikes = SpikeTensor::zeros(TensorShape::new(planes.len(), tokens, features));
+        for (t, plane) in planes.iter().enumerate() {
+            let plane = plane.borrow();
+            assert!(
+                plane.rows() == tokens && plane.cols() == features,
+                "all timestep matrices must have identical dimensions"
+            );
+            let fired = self.step(plane.as_slice());
+            for (n, row) in fired.chunks_exact(features).enumerate() {
+                for (d, _) in row.iter().enumerate().filter(|(_, &f)| f) {
+                    spikes.set(t, n, d, true);
+                }
+            }
+        }
+        spikes
+    }
+
     /// Resets all membrane potentials.
     pub fn reset(&mut self) {
         for v in &mut self.v_mem {
@@ -200,35 +234,8 @@ impl LifLayer {
 /// assert!(spikes.get(0, 0, 1));
 /// ```
 pub fn lif_over_time(inputs: &[DenseMatrix], config: LifConfig) -> SpikeTensor {
-    assert!(!inputs.is_empty(), "need at least one timestep of input");
-    let tokens = inputs[0].rows();
-    let features = inputs[0].cols();
-    assert!(
-        inputs
-            .iter()
-            .all(|m| m.rows() == tokens && m.cols() == features),
-        "all timestep matrices must have identical dimensions"
-    );
-    let shape = TensorShape::new(inputs.len(), tokens, features);
-    let mut spikes = SpikeTensor::zeros(shape);
-    let mut layer = LifLayer::new(tokens * features, config);
-    let mut flat = vec![0.0f32; tokens * features];
-    for (t, input) in inputs.iter().enumerate() {
-        for n in 0..tokens {
-            for d in 0..features {
-                flat[n * features + d] = input.get(n, d);
-            }
-        }
-        let fired = layer.step(&flat);
-        for n in 0..tokens {
-            for d in 0..features {
-                if fired[n * features + d] {
-                    spikes.set(t, n, d, true);
-                }
-            }
-        }
-    }
-    spikes
+    let first = inputs.first().expect("need at least one timestep of input");
+    LifLayer::new(first.rows() * first.cols(), config).step_planes(inputs)
 }
 
 #[cfg(test)]
@@ -358,5 +365,36 @@ mod tests {
     #[should_panic(expected = "at least one timestep")]
     fn lif_over_time_rejects_empty_input() {
         lif_over_time(&[], LifConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "identical dimensions")]
+    fn lif_over_time_rejects_ragged_planes() {
+        lif_over_time(
+            &[DenseMatrix::zeros(2, 3), DenseMatrix::zeros(3, 2)],
+            LifConfig::default(),
+        );
+    }
+
+    #[test]
+    fn split_plane_windows_continue_the_trajectory() {
+        // Stepping a persistent layer through two windows equals one
+        // lif_over_time pass over the concatenated planes.
+        let planes: Vec<DenseMatrix> = (0..5)
+            .map(|t| DenseMatrix::from_fn(3, 4, |n, d| 0.1 * (t + n + d) as f32 - 0.2))
+            .collect();
+        let whole = lif_over_time(&planes, LifConfig::default());
+        let mut layer = LifLayer::new(12, LifConfig::default());
+        let head = layer.step_planes(&planes[..2]);
+        let tail = layer.step_planes(&planes[2..]);
+        for (t, n, d) in whole.iter_active() {
+            let split = if t < 2 {
+                head.get(t, n, d)
+            } else {
+                tail.get(t - 2, n, d)
+            };
+            assert!(split, "spike ({t},{n},{d}) lost across the split");
+        }
+        assert_eq!(whole.count_ones(), head.count_ones() + tail.count_ones());
     }
 }

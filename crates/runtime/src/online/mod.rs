@@ -74,11 +74,10 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use bishop_engine::{
-    CalibrationCache, EngineError, EngineName, EngineRegistry, InferenceEngine, NativeEngine,
-    NativeEngineConfig, ResultCache, StepEvent,
+    CalibrationCache, EngineError, EngineName, EngineRegistry, ResultCache, StepEvent,
+    NATIVE_ENGINE,
 };
-use bishop_model::{ComputePool, WorkerProbe};
-use bishop_obs::{EventLevel, EventValue, ObsHub, Stage, StageSlot, TraceContext, WorkerStage};
+use bishop_obs::{EventLevel, EventValue, ObsHub, Stage, TraceContext};
 use bishop_session::SessionStore;
 
 use crate::batch::config_ops;
@@ -166,13 +165,6 @@ pub struct OnlineConfig {
     /// Execution backends. `None` builds the full default registry
     /// (`simulator`, `native`, `ptb`, `gpu`) over the server's caches.
     pub registry: Option<Arc<EngineRegistry>>,
-    /// Width of the native engine's intra-batch compute pool (`0` =
-    /// auto-size to the host's available parallelism, `1` = sequential).
-    /// Only applies when the default registry is built (an injected
-    /// registry brings its own engines); pool lanes publish `"compute"`
-    /// stage slots to the profiler. Execution stays bit-identical at any
-    /// width.
-    pub native_compute_workers: usize,
     /// Whether each engine gets its own scheduling domain (queue, batcher
     /// and dedicated workers). `false` rebuilds the pre-domain topology —
     /// one shared queue and worker pool serving every engine — for A/B
@@ -224,7 +216,6 @@ impl OnlineConfig {
             drain_ops_per_second: None,
             record_batches: false,
             registry: None,
-            native_compute_workers: 0,
             isolate_domains: true,
             domain_workers: Vec::new(),
             engine_drain_seeds: Vec::new(),
@@ -279,13 +270,6 @@ impl OnlineConfig {
     /// restrict the served set).
     pub fn with_registry(mut self, registry: Arc<EngineRegistry>) -> Self {
         self.registry = Some(registry);
-        self
-    }
-
-    /// Overrides the native engine's intra-batch compute-pool width (`0` =
-    /// auto, `1` = sequential). Only effective with the default registry.
-    pub fn with_native_compute_workers(mut self, workers: usize) -> Self {
-        self.native_compute_workers = workers;
         self
     }
 
@@ -966,58 +950,6 @@ impl ServerHandle {
     }
 }
 
-/// Bridges one compute-pool lane to a profiler [`StageSlot`]: busy lanes
-/// show as `engine_execute`, idle lanes as `idle`, under the `"compute"`
-/// thread kind so fan-out self-time is attributed separately from the
-/// domain workers.
-#[derive(Debug)]
-struct ComputeLaneProbe {
-    slot: Arc<StageSlot>,
-}
-
-impl WorkerProbe for ComputeLaneProbe {
-    fn busy(&self) {
-        self.slot.set(WorkerStage::EngineExecute);
-    }
-
-    fn idle(&self) {
-        self.slot.set(WorkerStage::Idle);
-    }
-}
-
-/// Builds the default registry's native engine: compute pool sized by the
-/// config knob, one profiler-registered probe per lane.
-fn native_engine_with_probes(compute_workers: usize, obs: &ObsHub) -> NativeEngine {
-    let engine_config = NativeEngineConfig {
-        compute_workers,
-        ..NativeEngineConfig::default()
-    };
-    let pool = ComputePool::new(compute_workers);
-    let width = pool.width();
-    let probes: Vec<Arc<dyn WorkerProbe>> = (0..width)
-        .map(|_| {
-            Arc::new(ComputeLaneProbe {
-                slot: obs.profiler.register("native", "compute"),
-            }) as Arc<dyn WorkerProbe>
-        })
-        .collect();
-    let engine = NativeEngine::with_config_and_pool(engine_config, pool.with_probes(probes));
-    // One structured boot line: which popcount path the host resolved to
-    // and how wide the intra-batch fan-out is.
-    obs.events.emit(
-        EventLevel::Info,
-        "native_compute_resolved",
-        &[
-            (
-                "simd_tier",
-                EventValue::Str(engine.descriptor().simd_tier.unwrap_or("scalar")),
-            ),
-            ("compute_workers", EventValue::U64(width as u64)),
-        ],
-    );
-    engine
-}
-
 /// The always-on serving stack: per-engine scheduling domains (bounded
 /// queue + batcher + dedicated workers each) over a pluggable engine
 /// registry, fed through cloneable [`ServerHandle`]s with deadline-aware
@@ -1052,18 +984,24 @@ impl OnlineServer {
             .clone()
             .unwrap_or_else(|| Arc::new(ObsHub::default()));
         let registry = config.registry.clone().unwrap_or_else(|| {
-            Arc::new(
-                EngineRegistry::serving_default(&config.runtime.hardware, cache, results)
-                    // Replace the stock native engine (in place, keeping
-                    // its registry position) with one whose compute pool
-                    // is sized by the config and whose lanes publish
-                    // "compute" stage slots to the profiler.
-                    .with_engine(Arc::new(native_engine_with_probes(
-                        config.native_compute_workers,
-                        &obs,
-                    ))),
-            )
+            Arc::new(EngineRegistry::serving_default(
+                &config.runtime.hardware,
+                cache,
+                results,
+            ))
         });
+        // One structured boot line: which popcount path the native engine
+        // resolved to on this host.
+        if let Some(native) = registry.get(NATIVE_ENGINE) {
+            obs.events.emit(
+                EventLevel::Info,
+                "native_compute_resolved",
+                &[(
+                    "simd_tier",
+                    EventValue::Str(native.descriptor().simd_tier.unwrap_or("scalar")),
+                )],
+            );
+        }
         let bundle = config.runtime.hardware.bundle;
         let cells = Arc::new(StatsCells::default());
         let executed = Arc::new(Mutex::new(Vec::new()));

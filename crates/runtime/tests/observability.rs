@@ -299,51 +299,30 @@ fn sampler_final_scrape_lands_counters_for_a_short_lived_server() {
 }
 
 #[test]
-fn compute_pool_lanes_register_profiler_slots_and_log_resolution() {
-    // A forced pool width of 3 (independent of the host's core count) must
-    // surface as three ("native", "compute") profiler lanes and one
-    // structured boot line recording the resolved SIMD tier and width.
+fn native_boot_event_logs_the_resolved_simd_tier() {
+    // One structured boot line records which popcount path the native
+    // engine resolved to on this host.
     let hub = Arc::new(ObsHub::default());
     let sink = CaptureSink::default();
     hub.events.set_sink(Box::new(sink.clone()));
     let server = OnlineServer::start(
         OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::sequential()))
-            .with_native_compute_workers(3)
             .with_sampler(SamplerConfig::disabled())
             .with_obs(Arc::clone(&hub)),
     );
-    let handle = server.handle();
 
+    // The line carries the tier and nothing else.
     let events = sink.text();
     assert!(
-        events.contains("\"event\":\"native_compute_resolved\""),
-        "missing boot event: {events}"
+        ["scalar", "neon", "avx2", "avx512"].iter().any(|tier| {
+            events.lines().any(|line| {
+                line == format!(
+                    "{{\"level\":\"info\",\"event\":\"native_compute_resolved\",\
+                     \"simd_tier\":\"{tier}\"}}"
+                )
+            })
+        }),
+        "missing boot event naming a known SIMD tier: {events}"
     );
-    assert!(events.contains("\"compute_workers\":3"), "{events}");
-    assert!(
-        ["scalar", "neon", "avx2", "avx512"]
-            .iter()
-            .any(|tier| events.contains(&format!("\"simd_tier\":\"{tier}\""))),
-        "boot event must name a known SIMD tier: {events}"
-    );
-
-    // With the background sampler off, one manual sweep sees exactly the
-    // three idle pool lanes under the "compute" kind.
-    hub.profiler.sample(0.001);
-    let report = hub.profiler.report();
-    let row = report
-        .entries
-        .iter()
-        .find(|entry| entry.engine == "native" && entry.kind == "compute")
-        .expect("compute lanes must be registered with the profiler");
-    assert_eq!(row.stage, "idle");
-    assert_eq!(row.samples, 3);
-
-    // And the width-3 pool actually serves: a native request fans its
-    // timesteps across the lanes and still completes.
-    let entry = default_mixed_models().into_iter().next().expect("catalog");
-    let ticket = handle
-        .try_submit(InferenceRequest::new(0, entry, 0).with_engine(EngineName::native()))
-        .expect("admitted");
-    assert!(matches!(ticket.wait(), Some(Ok(_))));
+    server.shutdown();
 }

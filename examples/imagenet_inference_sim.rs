@@ -27,11 +27,12 @@ fn main() {
     let patches =
         DenseMatrix::random_uniform(functional_config.tokens, 3 * 16 * 16, 0.05, &mut rng);
     let result = model.infer(&patches);
+    let captured = model.capture(&patches);
     println!(
         "functional inference: predicted class {} of {}, captured {} layer workloads",
         result.prediction,
         model.classes(),
-        result.workload.layers().len()
+        captured.layers().len()
     );
 
     // --- Accelerator evaluation of the full Model 3 -------------------------

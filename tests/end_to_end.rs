@@ -21,14 +21,14 @@ fn functional_inference_workload_can_be_simulated_on_both_accelerators() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let model = SpikingTransformer::random(&config, 24, 10, &mut rng);
     let patches = DenseMatrix::random_uniform(config.tokens, 24, 0.8, &mut rng);
-    let inference = model.infer(&patches);
+    let workload = model.capture(&patches);
 
     // The captured workload runs on both simulators and produces layer-for-
     // layer comparable metrics.
-    let bishop = BishopSimulator::new(BishopConfig::default())
-        .simulate(&inference.workload, &SimOptions::baseline());
-    let ptb = PtbSimulator::new(PtbConfig::default()).simulate(&inference.workload);
-    assert_eq!(bishop.layers.len(), inference.workload.layers().len());
+    let bishop =
+        BishopSimulator::new(BishopConfig::default()).simulate(&workload, &SimOptions::baseline());
+    let ptb = PtbSimulator::new(PtbConfig::default()).simulate(&workload);
+    assert_eq!(bishop.layers.len(), workload.layers().len());
     assert_eq!(ptb.layers.len(), bishop.layers.len());
     for (a, b) in bishop.layers.iter().zip(&ptb.layers) {
         assert_eq!(a.label, b.label);
