@@ -101,17 +101,13 @@ pub struct InferSubmission {
 
 /// Decodes a `/v1/infer` JSON body into a runtime request, resolving the
 /// model against `catalog` and the (optional) engine against `engines`.
-///
-/// `auto_candidates` is the serving runtime's *configured* `"auto"`
-/// preference order (see
-/// [`ServerHandle::auto_candidates`](bishop_runtime::ServerHandle::auto_candidates))
-/// — the preflight must agree with the dispatcher that will actually route
-/// the request, not with the registry default.
+/// An `"auto"` request is preflighted against
+/// [`EngineRegistry::auto_candidates`], the same order the runtime
+/// dispatcher routes by.
 pub fn decode_infer(
     body: &Json,
     catalog: &ModelCatalog,
     engines: &EngineRegistry,
-    auto_candidates: &[EngineName],
     request_id: u64,
 ) -> Result<InferSubmission, ApiError> {
     let model_name = body
@@ -265,12 +261,12 @@ pub fn decode_infer(
     // "auto" request is routable as long as *some* auto-eligible engine
     // supports the profile; the runtime dispatcher skips the rest.
     if engine.is_auto() {
-        if !auto_candidates
+        let candidates = engines.auto_candidates();
+        if !candidates
             .iter()
-            .filter_map(|name| engines.get(name.as_str()))
             .any(|e| e.descriptor().supports_model(&entry.config, &options))
         {
-            let names: Vec<&str> = auto_candidates.iter().map(EngineName::as_str).collect();
+            let names: Vec<&str> = candidates.iter().map(|e| e.descriptor().name).collect();
             return Err(ApiError::unprocessable(
                 "auto_unroutable",
                 format!(
@@ -767,31 +763,11 @@ mod tests {
         )
     }
 
-    /// The registry's default auto preference as `EngineName`s — what a
-    /// stock `OnlineConfig` would hand `decode_infer`.
-    fn auto_names(engines: &EngineRegistry) -> Vec<EngineName> {
-        engines
-            .auto_candidates()
-            .iter()
-            .map(|e| EngineName::new(e.descriptor().name))
-            .collect()
-    }
-
-    /// `decode_infer` with the registry-default auto candidates.
-    fn decode(
-        body: &Json,
-        catalog: &ModelCatalog,
-        engines: &EngineRegistry,
-        request_id: u64,
-    ) -> Result<InferSubmission, ApiError> {
-        decode_infer(body, catalog, engines, &auto_names(engines), request_id)
-    }
-
     #[test]
     fn decodes_a_minimal_submission_with_catalog_defaults() {
         let catalog = ModelCatalog::serving_default();
         let body = Json::parse(r#"{"model": "imagenet100-serve"}"#).unwrap();
-        let submission = decode(&body, &catalog, &registry(), 41).unwrap();
+        let submission = decode_infer(&body, &catalog, &registry(), 41).unwrap();
         assert_eq!(submission.request.id, 41);
         assert_eq!(submission.request.seed, 0);
         assert_eq!(submission.request.regime, TrainingRegime::Bsa);
@@ -811,7 +787,7 @@ mod tests {
                 "regime": "baseline", "ecp_threshold": null, "deadline_ms": 25}"#,
         )
         .unwrap();
-        let submission = decode(&body, &catalog, &registry(), 1).unwrap();
+        let submission = decode_infer(&body, &catalog, &registry(), 1).unwrap();
         assert_eq!(submission.request.seed, 9);
         assert_eq!(submission.request.regime, TrainingRegime::Baseline);
         assert_eq!(submission.request.options, SimOptions::baseline());
@@ -859,7 +835,7 @@ mod tests {
             ),
         ] {
             let json = Json::parse(body).unwrap();
-            let error = decode(&json, &catalog, &engines, 0).unwrap_err();
+            let error = decode_infer(&json, &catalog, &engines, 0).unwrap_err();
             assert_eq!(error.code, code, "{body}");
             assert!(error.message.contains(needle), "{body} -> {error:?}");
         }
@@ -872,7 +848,7 @@ mod tests {
         // ECP-default model on a non-ECP engine: refused at decode (422,
         // stable code) instead of after admission and worker dispatch.
         let body = Json::parse(r#"{"model": "imagenet100-serve", "engine": "native"}"#).unwrap();
-        let error = decode(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
         assert_eq!(error.code, "ecp_unsupported");
         assert_eq!(error.status, 422);
         // Disabling ECP makes the same profile executable.
@@ -880,7 +856,7 @@ mod tests {
             r#"{"model": "imagenet100-serve", "engine": "native", "ecp_threshold": null}"#,
         )
         .unwrap();
-        assert!(decode(&body, &catalog, &engines, 0).is_ok());
+        assert!(decode_infer(&body, &catalog, &engines, 0).is_ok());
 
         // A model whose own timestep count exceeds the engine's fold limit
         // can never execute there, batched or alone: refused at decode.
@@ -899,12 +875,12 @@ mod tests {
             SimOptions::baseline(),
         );
         let body = Json::parse(r#"{"model": "marathon", "engine": "native"}"#).unwrap();
-        let error = decode(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
         assert_eq!(error.code, "batch_too_large");
         assert_eq!(error.status, 422);
         // The unbounded simulator still takes it.
         let body = Json::parse(r#"{"model": "marathon"}"#).unwrap();
-        assert!(decode(&body, &catalog, &engines, 0).is_ok());
+        assert!(decode_infer(&body, &catalog, &engines, 0).is_ok());
     }
 
     #[test]
@@ -916,10 +892,10 @@ mod tests {
         let engines = EngineRegistry::new()
             .with_engine(std::sync::Arc::new(bishop_engine::NativeEngine::new()));
         let body = Json::parse(r#"{"model": "cifar10-serve"}"#).unwrap();
-        let submission = decode(&body, &catalog, &engines, 0).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, 0).unwrap();
         assert_eq!(submission.request.engine.as_str(), "native");
         // An empty registry is a typed failure, not a panic.
-        let error = decode(&body, &catalog, &EngineRegistry::new(), 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &EngineRegistry::new(), 0).unwrap_err();
         assert_eq!(error.code, "no_engines");
     }
 
@@ -1082,27 +1058,19 @@ mod tests {
         // "auto" survives decoding as the auto pseudo-engine: the runtime
         // dispatcher makes the concrete choice at admission.
         let body = Json::parse(r#"{"model": "cifar10-serve", "engine": "auto"}"#).unwrap();
-        let submission = decode(&body, &catalog, &engines, 0).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, 0).unwrap();
         assert!(submission.request.engine.is_auto());
         // An ECP-default model is auto-routable (the simulator candidate
         // supports it), even though native would refuse it.
         let body = Json::parse(r#"{"model": "imagenet100-serve", "engine": "auto"}"#).unwrap();
-        assert!(decode(&body, &catalog, &engines, 0).is_ok());
+        assert!(decode_infer(&body, &catalog, &engines, 0).is_ok());
         // With only a non-ECP candidate registered, the same profile is
         // unroutable: typed 422 at decode, before any queue slot.
         let native_only = EngineRegistry::new()
             .with_engine(std::sync::Arc::new(bishop_engine::NativeEngine::new()));
-        let error = decode(&body, &catalog, &native_only, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &native_only, 0).unwrap_err();
         assert_eq!(error.code, "auto_unroutable");
         assert_eq!(error.status, 422);
-
-        // The preflight honours the runtime's *configured* candidate list,
-        // not the registry default: a server whose auto preference was
-        // restricted to native rejects the ECP profile even though the
-        // full registry holds an ECP-capable simulator.
-        let restricted = [EngineName::native()];
-        let error = decode_infer(&body, &catalog, &engines, &restricted, 0).unwrap_err();
-        assert_eq!(error.code, "auto_unroutable");
         assert!(error.message.contains("native"), "{}", error.message);
     }
 
@@ -1115,7 +1083,7 @@ mod tests {
                 "session": "sess-0-0", "timesteps": 2}"#,
         )
         .unwrap();
-        let submission = decode(&body, &catalog, &engines, 3).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, 3).unwrap();
         assert!(submission.stream);
         assert_eq!(submission.session.as_deref(), Some("sess-0-0"));
         assert_eq!(submission.steps, Some(2));
@@ -1123,7 +1091,7 @@ mod tests {
         assert_eq!(submission.request.steps, Some(2));
         // Plain requests decode with the stateful fields off.
         let body = Json::parse(r#"{"model": "cifar10-serve"}"#).unwrap();
-        let submission = decode(&body, &catalog, &engines, 4).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, 4).unwrap();
         assert!(!submission.stream);
         assert!(submission.session.is_none());
         assert!(submission.steps.is_none());
@@ -1135,14 +1103,14 @@ mod tests {
             r#"{"model": "cifar10-serve", "engine": "native", "timesteps": 0}"#,
         ] {
             let json = Json::parse(body).unwrap();
-            let error = decode(&json, &catalog, &engines, 0).unwrap_err();
+            let error = decode_infer(&json, &catalog, &engines, 0).unwrap_err();
             assert_eq!(error.code, "bad_request", "{body}");
         }
         // Timestep counts beyond the model horizon are a 422.
         let body =
             Json::parse(r#"{"model": "cifar10-serve", "engine": "native", "timesteps": 4096}"#)
                 .unwrap();
-        let error = decode(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
         assert_eq!(error.code, "timesteps_out_of_range");
         assert_eq!(error.status, 422);
     }
@@ -1154,7 +1122,7 @@ mod tests {
         // "auto" cannot guarantee a streaming-capable backend.
         let body =
             Json::parse(r#"{"model": "cifar10-serve", "engine": "auto", "stream": true}"#).unwrap();
-        let error = decode(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
         assert_eq!(error.code, "streaming_unsupported");
         assert_eq!(error.status, 422);
         // The baseline engines advertise supports_streaming = false, so a
@@ -1165,7 +1133,7 @@ mod tests {
                 r#"{{"model": "cifar10-serve", "engine": "ptb", {field}}}"#
             ))
             .unwrap();
-            let error = decode(&body, &catalog, &engines, 0).unwrap_err();
+            let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
             assert_eq!(error.code, "streaming_unsupported", "{field}");
             assert_eq!(error.status, 422);
         }
@@ -1175,7 +1143,10 @@ mod tests {
                 r#"{{"model": "cifar10-serve", "engine": "{engine}", "stream": true}}"#
             ))
             .unwrap();
-            assert!(decode(&body, &catalog, &engines, 0).is_ok(), "{engine}");
+            assert!(
+                decode_infer(&body, &catalog, &engines, 0).is_ok(),
+                "{engine}"
+            );
         }
     }
 
@@ -1235,18 +1206,18 @@ mod tests {
         let engines = registry();
         let body = Json::parse(r#"{"model": "cifar10-serve"}"#).unwrap();
         assert!(
-            !decode(&body, &catalog, &engines, 0)
+            !decode_infer(&body, &catalog, &engines, 0)
                 .unwrap()
                 .trace_requested
         );
         let body = Json::parse(r#"{"model": "cifar10-serve", "trace": true}"#).unwrap();
         assert!(
-            decode(&body, &catalog, &engines, 0)
+            decode_infer(&body, &catalog, &engines, 0)
                 .unwrap()
                 .trace_requested
         );
         let body = Json::parse(r#"{"model": "cifar10-serve", "trace": "yes"}"#).unwrap();
-        let error = decode(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
         assert_eq!(error.code, "bad_request");
         assert!(error.message.contains("trace"));
     }

@@ -656,7 +656,7 @@ fn healthz(shared: &Shared) -> Response {
             ("status", Json::string(label)),
             (
                 "queue_depth",
-                Json::from_u64(shared.runtime.stats().queue_depth as u64),
+                Json::from_u64(engine_stats.iter().map(|e| e.queue_depth as u64).sum()),
             ),
             ("engines", Json::Array(breakers)),
         ]),
@@ -801,16 +801,11 @@ fn infer(request: &Request, shared: &Shared) -> Routed {
         Ok(json) => json,
         Err(error) => return Routed::Plain(fail(400, "bad_request", &error.to_string())),
     };
-    let submission = match decode_infer(
-        &json,
-        &shared.catalog,
-        shared.runtime.engines(),
-        &shared.runtime.auto_candidates(),
-        request_id,
-    ) {
-        Ok(submission) => submission,
-        Err(error) => return Routed::Plain(fail(error.status, error.code, &error.message)),
-    };
+    let submission =
+        match decode_infer(&json, &shared.catalog, shared.runtime.engines(), request_id) {
+            Ok(submission) => submission,
+            Err(error) => return Routed::Plain(fail(error.status, error.code, &error.message)),
+        };
     let want_timings = submission.trace_requested || request.query_flag("trace", "1");
 
     let mut runtime_request = submission.request;
@@ -957,9 +952,8 @@ fn infer(request: &Request, shared: &Shared) -> Routed {
                 // No auto candidate can execute this request shape at all:
                 // the client must change the request, so no Retry-After —
                 // 422 like any other capability refusal. (The decode
-                // preflight catches this for stock configurations; a
-                // runtime whose auto preference was restricted after boot
-                // still sheds here.)
+                // preflight reads the same registry order and catches this
+                // first; this arm is the backstop.)
                 rejection @ Rejection::NoEngineSupportsRequest => {
                     fail(422, rejection.code(), &rejection.to_string())
                 }

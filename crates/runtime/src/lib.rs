@@ -81,7 +81,7 @@ pub use cache::{CacheStats, CalibrationCache, ResultCache, ResultKey, WorkloadKe
 pub use online::{
     AdmissionStats, BreakerConfig, BreakerSnapshot, BreakerState, EngineLoadStats, OnlineConfig,
     OnlineServer, OnlineStats, Rejection, RetryPolicy, SamplerConfig, ServeError, ServeResult,
-    ServerHandle, Ticket, DEFAULT_DRAIN_OPS_PER_SECOND,
+    ServerHandle, Ticket,
 };
 pub use report::{
     CoreUtilization, LatencyPercentiles, ServingAggregates, ThroughputReport, WallClockStats,

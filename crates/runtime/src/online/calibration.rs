@@ -196,6 +196,20 @@ impl EngineCells {
         }
     }
 
+    /// Counts one admitted request of `ops` estimated dense ops into the
+    /// engine's queue depth and backlog.
+    pub(crate) fn admit(&self, ops: u64) {
+        self.pending.fetch_add(1, Ordering::AcqRel);
+        self.backlog_ops.fetch_add(ops, Ordering::AcqRel);
+    }
+
+    /// Takes one request back out of the queue depth and backlog: it
+    /// finished, or its admission was rolled back.
+    pub(crate) fn retire(&self, ops: u64) {
+        self.backlog_ops.fetch_sub(ops, Ordering::AcqRel);
+        self.pending.fetch_sub(1, Ordering::AcqRel);
+    }
+
     /// A point-in-time public snapshot.
     pub(crate) fn snapshot(&self) -> EngineLoadStats {
         EngineLoadStats {

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bishop_engine::{EngineDescriptor, EngineName};
+use bishop_engine::{EngineDescriptor, EngineName, InferenceEngine};
 use bishop_obs::{ObsHub, RouterCandidate, RouterDecision, RouterVerdict};
 
 use crate::request::InferenceRequest;
@@ -26,11 +26,14 @@ use super::calibration::EngineCells;
 use super::domain::{log_breaker_transition, DomainSubmitter};
 use super::Rejection;
 
-/// One resolvable engine: its identity and descriptor, the per-engine
-/// scheduling cells, and the index of the domain serving it.
+/// One resolvable engine: its identity, handle and cached descriptor, the
+/// per-engine scheduling cells, and the index of the domain serving it.
+/// Admission resolves every request to one of these, and the request
+/// carries it to the batcher and the worker.
 #[derive(Debug)]
 pub(crate) struct EngineEntry {
     pub(crate) name: EngineName,
+    pub(crate) engine: Arc<dyn InferenceEngine>,
     pub(crate) descriptor: EngineDescriptor,
     pub(crate) cells: Arc<EngineCells>,
     pub(crate) domain: usize,
@@ -58,7 +61,7 @@ pub(crate) fn predicted_completion_seconds(
 /// on — the evidence a trace needs to explain *why* this request landed
 /// where it did, or why it was shed.
 pub(crate) fn select_engine(
-    entries: &[EngineEntry],
+    entries: &[Arc<EngineEntry>],
     auto_order: &[usize],
     domains: &[DomainSubmitter],
     request: &InferenceRequest,
@@ -185,7 +188,7 @@ mod tests {
         domain: usize,
         seed_rate: f64,
         supports_ecp: bool,
-    ) -> (EngineEntry, DomainSubmitter) {
+    ) -> (Arc<EngineEntry>, DomainSubmitter) {
         let cells = Arc::new(EngineCells::new(
             EngineName::from(name),
             seed_rate,
@@ -214,12 +217,14 @@ mod tests {
             engines: vec![Arc::clone(&cells)],
         };
         (
-            EngineEntry {
+            Arc::new(EngineEntry {
                 name: EngineName::from(name),
+                // Dispatch reads only the descriptor; the handle is inert.
+                engine: Arc::new(bishop_engine::NativeEngine::new()),
                 descriptor,
                 cells,
                 domain,
-            },
+            }),
             submitter,
         )
     }

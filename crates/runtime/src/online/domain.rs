@@ -9,13 +9,19 @@
 //! still constructible as a single domain serving all engines via
 //! [`OnlineConfig::with_domain_isolation`](super::OnlineConfig::with_domain_isolation),
 //! which is what the scheduler bench A/Bs against.
+//!
+//! Every request reaches a domain already resolved: admission looked its
+//! engine up once, and the [`PendingRequest`] carries the engine handle,
+//! its descriptor and its per-engine cells. The batcher and the workers
+//! read those; neither consults the registry. A request naming an
+//! unregistered engine never reaches a domain.
 
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bishop_engine::{EngineBatch, EngineError, EngineOutput, EngineRegistry, StepEvent, StepSink};
+use bishop_engine::{EngineBatch, EngineError, EngineOutput, StepEvent, StepSink};
 use bishop_obs::{EventLevel, EventValue, ObsHub, Stage, StageSlot, WorkerStage};
 
 use crate::batch::{BatchFormer, BatchKey, BatchPolicy, Batchable, RequestBatch};
@@ -23,14 +29,17 @@ use crate::request::{InferenceRequest, InferenceResponse};
 
 use super::breaker::BreakerTransition;
 use super::calibration::{add_f64, max_f64, EngineCells};
+use super::dispatch::EngineEntry;
 use super::retry::RetryPolicy;
 use super::{ServeError, ServeResult, StatsCells};
 
 /// One admitted request travelling through a domain batcher: the request
-/// plus its completion channel and cached cost estimate.
+/// plus the engine admission resolved it to, its completion channel and
+/// cached cost estimate.
 #[derive(Debug)]
 pub(crate) struct PendingRequest {
     pub(crate) request: InferenceRequest,
+    pub(crate) engine: Arc<EngineEntry>,
     pub(crate) completion: mpsc::Sender<ServeResult>,
     pub(crate) estimated_ops: u64,
     /// Bounded progress channel into the request's ticket, when the caller
@@ -142,8 +151,6 @@ pub(crate) struct DomainSpec {
     pub(crate) batch_timeout: Option<Duration>,
     /// Bundle shape batches are padded to.
     pub(crate) bundle: bishop_bundle::BundleShape,
-    /// Engine resolution for the domain's workers.
-    pub(crate) registry: Arc<EngineRegistry>,
     /// Global server counters.
     pub(crate) cells: Arc<StatsCells>,
     /// Executed-batch recording sink, when enabled.
@@ -159,7 +166,7 @@ pub(crate) struct DomainSpec {
 pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads) {
     let (submit_tx, submit_rx) = mpsc::sync_channel::<Submission>(spec.queue_capacity);
     // Profiler attribution label: the engine name with per-engine
-    // isolation, `"shared"` for a multi-engine (or engine-less) domain.
+    // isolation, `"shared"` for a multi-engine domain.
     let profile_label = match spec.engines.as_slice() {
         [only] => only.name.as_str().to_string(),
         _ => "shared".to_string(),
@@ -172,9 +179,7 @@ pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads)
         workers.push(spawn_worker(
             index,
             rx,
-            Arc::clone(&spec.registry),
             Arc::clone(&spec.cells),
-            spec.engines.clone(),
             spec.record.clone(),
             spec.bundle,
             Arc::clone(&spec.obs),
@@ -185,7 +190,6 @@ pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads)
     let batcher = spawn_batcher(
         submit_rx,
         batch_txs,
-        Arc::clone(&spec.registry),
         spec.policy,
         spec.batch_timeout,
         spec.bundle,
@@ -202,25 +206,29 @@ pub(crate) fn spawn_domain(spec: DomainSpec) -> (DomainSubmitter, DomainThreads)
     )
 }
 
-/// Most riders one batch may hold for `request`'s engine: the largest count
-/// whose *padded* fold (batched timesteps rounded up to the bundle multiple
-/// `BSt`) stays within the engine's folded-timestep limit, so coalescing
-/// never builds a batch the engine is known to refuse while each rider
-/// alone would execute. (A model whose singleton fold already pads past the
-/// limit caps at 1 and surfaces the engine's typed refusal.)
-fn engine_batch_cap(
-    registry: &EngineRegistry,
-    request: &InferenceRequest,
-    bundle: bishop_bundle::BundleShape,
-) -> usize {
-    registry
-        .get(request.engine.as_str())
-        .and_then(|engine| engine.descriptor().max_folded_timesteps)
+/// Most riders one batch may hold with `pending`. Stateful
+/// (session/streaming) requests never coalesce — membranes are
+/// per-sequence state — and must not sit in an open group waiting for
+/// batch-mates that can never arrive, so they cap at 1. Otherwise the cap
+/// is the largest count whose *padded* fold (batched timesteps rounded up
+/// to the bundle multiple `BSt`) stays within the engine's folded-timestep
+/// limit, so coalescing never builds a batch the engine is known to refuse
+/// while each rider alone would execute. (A model whose singleton fold
+/// already pads past the limit caps at 1 and surfaces the engine's typed
+/// refusal.)
+fn batch_cap(pending: &PendingRequest, bundle: bishop_bundle::BundleShape) -> usize {
+    if pending.request.stateful() {
+        return 1;
+    }
+    pending
+        .engine
+        .descriptor
+        .max_folded_timesteps
         .map(|limit| {
             // Padding rounds folds up to a multiple of BSt, so the usable
             // budget is the largest such multiple at or below the limit.
             let usable = (limit / bundle.timesteps.max(1)) * bundle.timesteps.max(1);
-            (usable / request.model().timesteps.max(1)).max(1)
+            (usable / pending.request.model().timesteps.max(1)).max(1)
         })
         .unwrap_or(usize::MAX)
 }
@@ -232,7 +240,6 @@ fn engine_batch_cap(
 fn spawn_batcher(
     submit_rx: mpsc::Receiver<Submission>,
     batch_txs: Vec<mpsc::Sender<RequestBatch<PendingRequest>>>,
-    registry: Arc<EngineRegistry>,
     policy: BatchPolicy,
     batch_timeout: Option<Duration>,
     bundle: bishop_bundle::BundleShape,
@@ -296,15 +303,7 @@ fn spawn_batcher(
                         trace.stamp(Stage::QueueWait);
                     }
                     let key = BatchKey::from(pending.request());
-                    // Stateful (session/streaming) requests never coalesce —
-                    // membranes are per-sequence state — and must not sit in
-                    // an open group waiting for batch-mates that can never
-                    // arrive: cap 1 closes their singleton batch immediately.
-                    let cap = if pending.request().stateful() {
-                        1
-                    } else {
-                        engine_batch_cap(&registry, pending.request(), bundle)
-                    };
+                    let cap = batch_cap(&pending, bundle);
                     let newly_opened = former.pending_count(&key) == 0;
                     match former.push_capped(*pending, cap) {
                         Some(batch) => {
@@ -331,11 +330,7 @@ fn spawn_batcher(
                                 if let Some(trace) = &pending.request.trace {
                                     trace.stamp(Stage::QueueWait);
                                 }
-                                let cap = if pending.request().stateful() {
-                                    1
-                                } else {
-                                    engine_batch_cap(&registry, pending.request(), bundle)
-                                };
+                                let cap = batch_cap(&pending, bundle);
                                 if let Some(batch) = former.push_capped(*pending, cap) {
                                     dispatch(batch, &mut load);
                                 }
@@ -390,19 +385,52 @@ pub(crate) fn log_breaker_transition(obs: &ObsHub, engine: &str, transition: Bre
     );
 }
 
-/// Spawns one domain worker: executes batches on whichever engine each
-/// batch names — containing engine panics with `catch_unwind` and retrying
+/// One contained engine attempt: runs `execute` under `catch_unwind` (a
+/// panic resolves to a typed [`EngineError::Panicked`] and is counted, so
+/// batch-mates get an answer and the worker keeps draining — the engine is
+/// behind an `Arc` and takes `&self`, so no worker-local state can be left
+/// torn), stamps every rider's `engine_execute` span, and feeds the
+/// engine's circuit breaker. Only health faults count against the breaker;
+/// capability refusals say nothing about the engine. Returns the outcome
+/// and the attempt's wall-clock seconds.
+fn contained_attempt<T>(
+    entry: &EngineEntry,
+    riders: &[PendingRequest],
+    obs: &ObsHub,
+    execute: impl FnOnce() -> Result<T, EngineError>,
+) -> (Result<T, EngineError>, f64) {
+    let started = Instant::now();
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(execute)).unwrap_or_else(|_| {
+            entry.cells.panics.fetch_add(1, Ordering::AcqRel);
+            Err(EngineError::Panicked {
+                engine: entry.descriptor.name,
+            })
+        });
+    let wall_seconds = started.elapsed().as_secs_f64();
+    for pending in riders {
+        if let Some(trace) = &pending.request.trace {
+            trace.stamp(Stage::EngineExecute);
+        }
+    }
+    let health_fault = outcome.as_ref().is_err_and(EngineError::retryable);
+    if let Some(transition) = entry.cells.breaker.record(health_fault) {
+        log_breaker_transition(obs, entry.name.as_str(), transition);
+    }
+    (outcome, wall_seconds)
+}
+
+/// Spawns one domain worker: executes each batch on the engine its riders
+/// were resolved to at admission — containing engine panics and retrying
 /// retryable faults per the domain's [`RetryPolicy`] — resolves riders'
-/// tickets, feeds the engine's circuit breaker with every attempt outcome,
-/// and feeds the drain-rate calibration with the measured wall-clock of
-/// every successful attempt.
+/// tickets, and feeds the engine's cells: its circuit breaker with every
+/// attempt outcome, its drain-rate calibration with the measured
+/// wall-clock of every successful attempt, and its outcome counters.
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     index: usize,
     batch_rx: mpsc::Receiver<RequestBatch<PendingRequest>>,
-    registry: Arc<EngineRegistry>,
     cells: Arc<StatsCells>,
-    engines: Vec<Arc<EngineCells>>,
     record: Option<Arc<Mutex<Vec<ExecutedBatch>>>>,
     bundle: bishop_bundle::BundleShape,
     obs: Arc<ObsHub>,
@@ -418,184 +446,128 @@ fn spawn_worker(
             stage_slot.set(WorkerStage::EngineExecute);
             let batch_size = batch.len();
             let batch_ops: u64 = batch.requests.iter().map(|p| p.estimated_ops).sum();
+            // The batch key includes the engine, so every rider shares the
+            // one admission resolved the first to.
+            let entry = Arc::clone(&batch.requests[0].engine);
+            let engine = &entry.cells;
+            let engine_name = entry.descriptor.name;
             // Stateful (session/streaming) requests always form singleton
             // batches (the batcher caps them at 1); they execute on the
             // engine's streaming path below instead of `execute`.
             let stateful = batch_size == 1 && batch.requests[0].request.stateful();
-            // Requests naming an unregistered engine ride the default
-            // domain and fail typed below; they have no per-engine cells.
-            let engine_cells = engines
-                .iter()
-                .find(|e| e.name == *batch.engine())
-                .map(Arc::clone);
             // Annotate every traced rider with where it executes: the batch
             // span id shared with its batch-mates and the concrete engine.
             // The execute span (worker queue + engine run) is stamped once
-            // per *attempt* below, so retried requests show one
-            // `engine_execute` span per attempt.
+            // per *attempt*, so retried requests show one `engine_execute`
+            // span per attempt.
             for pending in &batch.requests {
                 if let Some(trace) = &pending.request.trace {
                     trace.set_batch_id(batch.id);
-                    trace.set_engine(batch.engine().as_str());
+                    trace.set_engine(engine_name);
                 }
             }
 
             let mut attempts: u32 = 0;
-            let mut wall_seconds = 0.0;
-            let outcome = match registry.get(batch.engine().as_str()) {
-                None => Err(ServeError::UnknownEngine(batch.engine().clone())),
-                Some(engine) if stateful => {
-                    let engine_name = engine.descriptor().name;
-                    let pending = &batch.requests[0];
-                    let request = &pending.request;
-                    // The streaming path executes the request's *base*
-                    // configuration (no batch rename, no timestep padding):
-                    // session continuations must resolve the same weights
-                    // and the same memoized workload as the single long
-                    // request would, or the split stops being bit-identical.
-                    let engine_batch = EngineBatch {
-                        config: request.entry.config.clone(),
-                        regime: request.regime,
-                        seed: request.seed,
-                        options: request.options,
-                        batch_size: 1,
-                        batch_id: batch.id,
-                    };
-                    let steps = request.effective_steps();
-                    let resume = request.resume.clone();
-                    let mut sink = ProgressSink {
-                        progress: pending.progress.clone(),
-                        emitted: 0,
-                        dropped: 0,
-                    };
-                    attempts = 1;
-                    let started = Instant::now();
-                    // One attempt, never retried: step events already
-                    // reached the client, and replaying them after a
-                    // mid-sequence fault would double-deliver timesteps.
-                    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.execute_streaming(&engine_batch, steps, resume.as_deref(), &mut sink)
-                    }))
-                    .unwrap_or_else(|_| {
-                        if let Some(cells) = &engine_cells {
-                            cells.panics.fetch_add(1, Ordering::AcqRel);
-                        }
-                        Err(EngineError::Panicked {
-                            engine: engine_name,
-                        })
-                    });
-                    wall_seconds = started.elapsed().as_secs_f64();
-                    if let Some(trace) = &request.trace {
-                        trace.stamp(Stage::EngineExecute);
-                    }
-                    let health_fault = attempt.as_ref().is_err_and(|e| e.retryable());
-                    if let Some(cells) = &engine_cells {
-                        if let Some(transition) = cells.breaker.record(health_fault) {
-                            log_breaker_transition(&obs, engine_name, transition);
-                        }
-                        cells
-                            .stream_events
-                            .fetch_add(sink.emitted, Ordering::AcqRel);
-                    }
-                    if sink.dropped > 0 {
-                        obs.events.emit(
-                            EventLevel::Warn,
-                            "stream_events_dropped",
-                            &[
-                                ("engine", EventValue::Str(engine_name)),
-                                ("batch_id", EventValue::U64(batch.id)),
-                                ("dropped", EventValue::U64(sink.dropped)),
-                            ],
-                        );
-                    }
-                    match attempt {
-                        Ok(streamed) => Ok((
+            let mut wall_seconds;
+            let outcome = if stateful {
+                let pending = &batch.requests[0];
+                let request = &pending.request;
+                // The streaming path executes the request's *base*
+                // configuration (no batch rename, no timestep padding):
+                // session continuations must resolve the same weights and
+                // the same memoized workload as the single long request
+                // would, or the split stops being bit-identical.
+                let engine_batch = EngineBatch {
+                    config: request.entry.config.clone(),
+                    regime: request.regime,
+                    seed: request.seed,
+                    options: request.options,
+                    batch_size: 1,
+                    batch_id: batch.id,
+                };
+                let steps = request.effective_steps();
+                let resume = request.resume.clone();
+                let mut sink = ProgressSink {
+                    progress: pending.progress.clone(),
+                    emitted: 0,
+                    dropped: 0,
+                };
+                attempts = 1;
+                // One attempt, never retried: step events already reached
+                // the client, and replaying them after a mid-sequence fault
+                // would double-deliver timesteps.
+                let (attempt, wall) = contained_attempt(&entry, &batch.requests, &obs, || {
+                    entry.engine.execute_streaming(
+                        &engine_batch,
+                        steps,
+                        resume.as_deref(),
+                        &mut sink,
+                    )
+                });
+                wall_seconds = wall;
+                engine
+                    .stream_events
+                    .fetch_add(sink.emitted, Ordering::AcqRel);
+                if sink.dropped > 0 {
+                    obs.events.emit(
+                        EventLevel::Warn,
+                        "stream_events_dropped",
+                        &[
+                            ("engine", EventValue::Str(engine_name)),
+                            ("batch_id", EventValue::U64(batch.id)),
+                            ("dropped", EventValue::U64(sink.dropped)),
+                        ],
+                    );
+                }
+                attempt
+                    .map(|streamed| {
+                        (
                             streamed.output,
                             Some(Arc::new(streamed.state)),
                             streamed.logits,
-                        )),
-                        Err(error) => Err(ServeError::Engine(error)),
-                    }
-                }
-                Some(engine) => {
-                    let engine_name = engine.descriptor().name;
-                    let engine_batch = batch.engine_batch(bundle);
-                    loop {
-                        attempts += 1;
-                        let started = Instant::now();
-                        // Contain engine panics: batch-mates resolve to a
-                        // typed error and the worker keeps draining. The
-                        // engine is behind an `Arc` and takes `&self`, so
-                        // no worker-local state can be left torn.
-                        let attempt =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                engine.execute(&engine_batch)
-                            }))
-                            .unwrap_or_else(|_| {
-                                if let Some(cells) = &engine_cells {
-                                    cells.panics.fetch_add(1, Ordering::AcqRel);
-                                }
-                                Err(EngineError::Panicked {
-                                    engine: engine_name,
-                                })
-                            });
-                        wall_seconds = started.elapsed().as_secs_f64();
-                        for pending in &batch.requests {
-                            if let Some(trace) = &pending.request.trace {
-                                trace.stamp(Stage::EngineExecute);
+                        )
+                    })
+                    .map_err(ServeError::Engine)
+            } else {
+                let engine_batch = batch.engine_batch(bundle);
+                loop {
+                    attempts += 1;
+                    let (attempt, wall) = contained_attempt(&entry, &batch.requests, &obs, || {
+                        entry.engine.execute(&engine_batch)
+                    });
+                    wall_seconds = wall;
+                    match attempt {
+                        Ok(output) => {
+                            engine.retry_budget.refill();
+                            if attempts > 1 {
+                                engine.retries_recovered.fetch_add(1, Ordering::AcqRel);
                             }
+                            break Ok((output, None, None));
                         }
-                        // Only health faults feed the breaker; capability
-                        // refusals say nothing about the engine.
-                        let health_fault = attempt.as_ref().is_err_and(|e| e.retryable());
-                        if let Some(cells) = &engine_cells {
-                            if let Some(transition) = cells.breaker.record(health_fault) {
-                                log_breaker_transition(&obs, engine_name, transition);
-                            }
-                        }
-                        match attempt {
-                            Ok(output) => {
-                                if let Some(cells) = &engine_cells {
-                                    cells.retry_budget.refill();
-                                    if attempts > 1 {
-                                        cells.retries_recovered.fetch_add(1, Ordering::AcqRel);
-                                    }
+                        Err(error) => {
+                            let health_fault = error.retryable();
+                            if health_fault && attempts < retry.max_attempts.max(1) {
+                                if engine.retry_budget.try_spend() {
+                                    engine.retries_attempted.fetch_add(1, Ordering::AcqRel);
+                                    stage_slot.set(WorkerStage::RetryBackoff);
+                                    std::thread::sleep(retry.backoff(attempts));
+                                    stage_slot.set(WorkerStage::EngineExecute);
+                                    continue;
                                 }
-                                break Ok((output, None, None));
+                                engine.retry_budget_denied.fetch_add(1, Ordering::AcqRel);
+                                obs.events.emit(
+                                    EventLevel::Warn,
+                                    "retry_budget_exhausted",
+                                    &[
+                                        ("engine", EventValue::Str(engine_name)),
+                                        ("batch_id", EventValue::U64(batch.id)),
+                                        ("code", EventValue::Str(error.code())),
+                                    ],
+                                );
+                            } else if health_fault && attempts > 1 {
+                                engine.retries_exhausted.fetch_add(1, Ordering::AcqRel);
                             }
-                            Err(error) => {
-                                if health_fault && attempts < retry.max_attempts.max(1) {
-                                    let budget_ok = engine_cells
-                                        .as_ref()
-                                        .is_some_and(|c| c.retry_budget.try_spend());
-                                    if budget_ok {
-                                        if let Some(cells) = &engine_cells {
-                                            cells.retries_attempted.fetch_add(1, Ordering::AcqRel);
-                                        }
-                                        stage_slot.set(WorkerStage::RetryBackoff);
-                                        std::thread::sleep(retry.backoff(attempts));
-                                        stage_slot.set(WorkerStage::EngineExecute);
-                                        continue;
-                                    }
-                                    if let Some(cells) = &engine_cells {
-                                        cells.retry_budget_denied.fetch_add(1, Ordering::AcqRel);
-                                    }
-                                    obs.events.emit(
-                                        EventLevel::Warn,
-                                        "retry_budget_exhausted",
-                                        &[
-                                            ("engine", EventValue::Str(engine_name)),
-                                            ("batch_id", EventValue::U64(batch.id)),
-                                            ("code", EventValue::Str(error.code())),
-                                        ],
-                                    );
-                                } else if health_fault && attempts > 1 {
-                                    if let Some(cells) = &engine_cells {
-                                        cells.retries_exhausted.fetch_add(1, Ordering::AcqRel);
-                                    }
-                                }
-                                break Err(ServeError::Engine(error));
-                            }
+                            break Err(ServeError::Engine(error));
                         }
                     }
                 }
@@ -612,18 +584,15 @@ fn spawn_worker(
                 Ok((output, session_state, logits)) => {
                     let output = Arc::new(output);
                     let latency = output.latency_seconds;
-                    cells.batches_executed.fetch_add(1, Ordering::AcqRel);
                     cells
                         .total_cycles
                         .fetch_add(output.cycles, Ordering::AcqRel);
                     add_f64(&cells.energy_mj_bits, output.energy_mj);
                     add_f64(&cells.latency_sum_bits, latency * batch_size as f64);
                     max_f64(&cells.latency_max_bits, latency);
-                    if let Some(engine) = &engine_cells {
-                        engine.batches_executed.fetch_add(1, Ordering::AcqRel);
-                        engine.drain.observe(batch_ops, wall_seconds);
-                        engine.latency.record(latency, batch_size);
-                    }
+                    engine.batches_executed.fetch_add(1, Ordering::AcqRel);
+                    engine.drain.observe(batch_ops, wall_seconds);
+                    engine.latency.record(latency, batch_size);
 
                     if let Some(record) = &record {
                         record.lock().expect("executed lock").push(ExecutedBatch {
@@ -650,18 +619,8 @@ fn spawn_worker(
                             session_state: session_state.clone(),
                             logits: logits.clone(),
                         };
-                        cells
-                            .backlog_ops
-                            .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                        cells.pending.fetch_sub(1, Ordering::AcqRel);
-                        cells.completed.fetch_add(1, Ordering::AcqRel);
-                        if let Some(engine) = &engine_cells {
-                            engine
-                                .backlog_ops
-                                .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                            engine.pending.fetch_sub(1, Ordering::AcqRel);
-                            engine.completed.fetch_add(1, Ordering::AcqRel);
-                        }
+                        engine.retire(pending.estimated_ops);
+                        engine.completed.fetch_add(1, Ordering::AcqRel);
                         let _ = pending.completion.send(Ok(response));
                     }
                 }
@@ -672,25 +631,15 @@ fn spawn_worker(
                         EventLevel::Error,
                         "engine_error",
                         &[
-                            ("engine", EventValue::Str(batch.engine().as_str())),
+                            ("engine", EventValue::Str(engine_name)),
                             ("batch_id", EventValue::U64(batch.id)),
                             ("batch_size", EventValue::U64(batch_size as u64)),
                             ("code", EventValue::Str(error.code())),
                         ],
                     );
                     for pending in batch.requests {
-                        cells
-                            .backlog_ops
-                            .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                        cells.pending.fetch_sub(1, Ordering::AcqRel);
-                        cells.failed.fetch_add(1, Ordering::AcqRel);
-                        if let Some(engine) = &engine_cells {
-                            engine
-                                .backlog_ops
-                                .fetch_sub(pending.estimated_ops, Ordering::AcqRel);
-                            engine.pending.fetch_sub(1, Ordering::AcqRel);
-                            engine.failed.fetch_add(1, Ordering::AcqRel);
-                        }
+                        engine.retire(pending.estimated_ops);
+                        engine.failed.fetch_add(1, Ordering::AcqRel);
                         let _ = pending.completion.send(Err(error.clone()));
                     }
                 }

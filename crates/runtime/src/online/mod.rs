@@ -48,11 +48,18 @@
 //! Batch ids are strided across domains (domain *i* of *n* assigns ids
 //! `i, i+n, i+2n, …`), keeping them globally unique and deterministic.
 //!
-//! **Execution** is pluggable: each domain worker resolves the batch's
-//! [`EngineName`] through the server's [`EngineRegistry`] and executes it on
-//! that backend. An engine refusal is not a crash or a hang — the riders'
-//! tickets resolve to a typed [`ServeError`] and the failure is counted in
-//! [`OnlineStats::failed`].
+//! **Execution** is pluggable: admission resolves each request's
+//! [`EngineName`] through the server's [`EngineRegistry`] once, and the
+//! request carries the engine handle to its domain's batcher and worker,
+//! which executes it on that backend. A name the registry does not hold
+//! never reaches a domain: its ticket resolves at submission to
+//! [`ServeError::UnknownEngine`]. An engine refusal is not a crash or a
+//! hang either — the riders' tickets resolve to a typed [`ServeError`].
+//! Both count in [`OnlineStats::failed`].
+//!
+//! **Accounting** has one owner per number: each engine's cells hold its
+//! queue depth, backlog and outcome counters, and the server-wide figures
+//! in [`OnlineStats`] are sums over engines.
 
 mod breaker;
 mod calibration;
@@ -69,7 +76,7 @@ pub use sampler::SamplerConfig;
 
 use breaker::BreakerAdmit;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -93,12 +100,6 @@ use domain::{
 // Referenced by the module docs above.
 #[allow(unused_imports)]
 use crate::batch::BatchFormer;
-
-/// The drain rate (dense ops per second) assumed for requests naming an
-/// engine the registry does not hold (they fail typed after dispatch, but
-/// deadline admission still needs *some* rate), when the deprecated global
-/// knob is unset. This was the old single global default.
-pub const DEFAULT_DRAIN_OPS_PER_SECOND: f64 = 5e9;
 
 /// Why a submitted request failed to produce a response (as opposed to being
 /// shed at admission, which is a [`Rejection`]).
@@ -152,13 +153,6 @@ pub struct OnlineConfig {
     /// (across all domains). `0` sheds everything (useful for overload
     /// tests).
     pub max_pending: usize,
-    /// **Deprecated global knob**, kept as a calibration *seed*: per-engine
-    /// drain rates (an online EWMA of observed ops/second) replaced the
-    /// single global rate. `None` (the default) seeds each engine from its
-    /// own descriptor; `Some(rate)` (via [`OnlineConfig::with_drain_rate`])
-    /// seeds every engine with the given value instead — matching the old
-    /// single-rate behaviour until observations flow.
-    pub drain_ops_per_second: Option<f64>,
     /// Record every executed batch for post-run report assembly. Leave off
     /// for long-running servers (the record grows without bound).
     pub record_batches: bool,
@@ -175,12 +169,9 @@ pub struct OnlineConfig {
     /// isolation.
     pub domain_workers: Vec<(EngineName, usize)>,
     /// Per-engine drain-rate seed overrides (engine name → ops/second);
-    /// takes precedence over both the global knob and the descriptor seed.
+    /// an engine not listed is seeded from its descriptor's
+    /// `seed_drain_ops_per_second`.
     pub engine_drain_seeds: Vec<(EngineName, f64)>,
-    /// Preference order `"auto"` requests resolve against (most-preferred
-    /// first); names not registered are skipped. Defaults to
-    /// [`EngineRegistry::default_auto_preference`].
-    pub auto_preference: Vec<EngineName>,
     /// The observability hub (stage histograms, trace store, router
     /// decision counters, event log) the server feeds. `None` (the
     /// default) builds a hub with [`bishop_obs::ObsConfig`] defaults;
@@ -213,16 +204,11 @@ impl OnlineConfig {
             runtime,
             batch_timeout: Some(Duration::from_millis(2)),
             max_pending: 1024,
-            drain_ops_per_second: None,
             record_batches: false,
             registry: None,
             isolate_domains: true,
             domain_workers: Vec::new(),
             engine_drain_seeds: Vec::new(),
-            auto_preference: EngineRegistry::default_auto_preference()
-                .into_iter()
-                .map(EngineName::new)
-                .collect(),
             obs: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -239,24 +225,6 @@ impl OnlineConfig {
     /// Overrides the queue-depth admission cap.
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending;
-        self
-    }
-
-    /// **Deprecated** in favour of per-engine calibration (see
-    /// [`OnlineConfig::drain_ops_per_second`]): sets the drain-rate *seed*
-    /// every engine's calibration starts from. Values below 1 op/s are
-    /// clamped to 1.0 — with a diagnostic on stderr in debug builds —
-    /// because a zero or negative rate would make every backlog prediction
-    /// infinite.
-    pub fn with_drain_rate(mut self, ops_per_second: f64) -> Self {
-        if ops_per_second < 1.0 {
-            #[cfg(debug_assertions)]
-            eprintln!(
-                "bishop-runtime: OnlineConfig::with_drain_rate({ops_per_second}) \
-                 clamped to 1.0 ops/s"
-            );
-        }
-        self.drain_ops_per_second = Some(ops_per_second.max(1.0));
         self
     }
 
@@ -296,13 +264,6 @@ impl OnlineConfig {
         self
     }
 
-    /// Overrides the `"auto"` resolution preference order (most-preferred
-    /// first).
-    pub fn with_auto_preference(mut self, preference: Vec<EngineName>) -> Self {
-        self.auto_preference = preference;
-        self
-    }
-
     /// Injects an observability hub (to share one with a gateway, or to
     /// tune trace retention and event-log levels).
     pub fn with_obs(mut self, obs: Arc<ObsHub>) -> Self {
@@ -331,20 +292,15 @@ impl OnlineConfig {
         self
     }
 
-    /// The drain-rate seed for one engine: an explicit per-engine override
-    /// wins, then an explicitly-set global knob, then the descriptor seed.
+    /// The drain-rate seed for one engine: its per-engine override if one
+    /// is set, else the descriptor seed — clamped to ≥ 1 op/s, because a
+    /// zero or negative rate would make every backlog prediction infinite.
     fn drain_seed(&self, name: &str, descriptor_seed: f64) -> f64 {
-        if let Some((_, rate)) = self
-            .engine_drain_seeds
+        self.engine_drain_seeds
             .iter()
             .find(|(engine, _)| engine.as_str() == name)
-        {
-            return rate.max(1.0);
-        }
-        if let Some(rate) = self.drain_ops_per_second {
-            return rate.max(1.0);
-        }
-        descriptor_seed.max(1.0)
+            .map_or(descriptor_seed, |(_, rate)| *rate)
+            .max(1.0)
     }
 }
 
@@ -452,8 +408,9 @@ pub struct OnlineStats {
     pub admitted: u64,
     /// Requests whose batch executed successfully.
     pub completed: u64,
-    /// Requests whose batch failed with a [`ServeError`] (typed refusal;
-    /// the tickets resolved, nothing hung).
+    /// Requests that resolved to a [`ServeError`] (typed refusal; the
+    /// tickets resolved, nothing hung): the engines' failures plus the
+    /// requests that named an engine the registry does not hold.
     pub failed: u64,
     /// Shed counters, by reason.
     pub admission: AdmissionStats,
@@ -478,21 +435,21 @@ pub struct OnlineStats {
     pub engines: Vec<EngineLoadStats>,
 }
 
-/// Shared atomic counters behind every [`ServerHandle`] clone.
+/// Shared server-wide atomic counters behind every [`ServerHandle`] clone.
+/// Queue depth, backlog and the outcome counters are not here: each
+/// engine's [`EngineCells`] owns its own, and server-wide figures sum them.
 #[derive(Debug, Default)]
 pub(crate) struct StatsCells {
     pub(crate) submitted: AtomicU64,
     pub(crate) admitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
+    /// Admitted requests that named an engine the registry does not hold
+    /// (their tickets resolved to [`ServeError::UnknownEngine`]).
+    pub(crate) unknown_engine: AtomicU64,
     pub(crate) rejected_queue_full: AtomicU64,
     pub(crate) rejected_deadline: AtomicU64,
     pub(crate) rejected_no_engine: AtomicU64,
     pub(crate) rejected_unavailable: AtomicU64,
     pub(crate) rejected_shutdown: AtomicU64,
-    pub(crate) batches_executed: AtomicU64,
-    pub(crate) pending: AtomicUsize,
-    pub(crate) backlog_ops: AtomicU64,
     pub(crate) total_cycles: AtomicU64,
     pub(crate) energy_mj_bits: AtomicU64,
     pub(crate) latency_sum_bits: AtomicU64,
@@ -555,16 +512,13 @@ impl Ticket {
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     domains: Arc<Vec<DomainSubmitter>>,
-    engines_index: Arc<Vec<EngineEntry>>,
+    engines_index: Arc<Vec<Arc<EngineEntry>>>,
     /// Indices into `engines_index`, most-preferred first, that `"auto"`
     /// requests resolve against.
     auto_order: Arc<Vec<usize>>,
     cells: Arc<StatsCells>,
     registry: Arc<EngineRegistry>,
     max_pending: usize,
-    /// Drain rate used for deadline admission of requests naming an engine
-    /// the registry does not hold (they fail typed after dispatch).
-    fallback_drain: f64,
     obs: Arc<ObsHub>,
     /// The session store an edge (gateway) registered with this server, if
     /// any — the background sampler scrapes its occupancy/eviction counters
@@ -632,20 +586,21 @@ impl ServerHandle {
             cells.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
             return Err(self.log_shed(request.id, &request.engine, Rejection::ShuttingDown));
         }
-        if !block && cells.pending.load(Ordering::Acquire) >= self.max_pending {
+        if !block && self.queue_depth() >= self.max_pending {
             cells.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
             return Err(self.log_shed(request.id, &request.engine, Rejection::QueueFull));
         }
 
         let estimated_ops = config_ops(request.model());
 
-        // Resolve "auto" to a concrete engine before any bookkeeping: the
-        // dispatcher picks the most-preferred engine whose predicted
-        // completion meets the deadline, or sheds typed. The full decision
-        // record — every candidate considered, the prediction each was
-        // judged on, the verdict — feeds the router counters and rides on
-        // the request's trace.
-        let entry_index = if request.engine.is_auto() {
+        // Resolve the request's engine, once: everything downstream reads
+        // the entry it carries. "auto" goes to the dispatcher, which picks
+        // the most-preferred engine whose predicted completion meets the
+        // deadline, or sheds typed. The full decision record — every
+        // candidate considered, the prediction each was judged on, the
+        // verdict — feeds the router counters and rides on the request's
+        // trace.
+        let entry = if request.engine.is_auto() {
             let (outcome, decision) = dispatch::select_engine(
                 &self.engines_index,
                 &self.auto_order,
@@ -661,8 +616,9 @@ impl ServerHandle {
             }
             match outcome {
                 Ok(index) => {
-                    request.engine = self.engines_index[index].name.clone();
-                    Some(index)
+                    let entry = &self.engines_index[index];
+                    request.engine = entry.name.clone();
+                    entry
                 }
                 Err(rejection) => {
                     let counter = match rejection {
@@ -677,33 +633,33 @@ impl ServerHandle {
                 }
             }
         } else {
-            let entry_index = self
+            let Some(entry) = self
                 .engines_index
                 .iter()
-                .position(|entry| entry.name == request.engine);
+                .find(|entry| entry.name == request.engine)
+            else {
+                return Ok(self.resolve_unknown_engine(request));
+            };
             // Explicitly-named engines are *not* rerouted around an open
             // breaker — the client asked for this one — but they are shed
             // typed instead of being queued onto a known-unhealthy engine.
             // (Blocking submission is the offline replay path; it bypasses
             // the breaker to stay deterministic.)
             if !block {
-                if let Some(index) = entry_index {
-                    let entry = &self.engines_index[index];
-                    let (admit, transition) = entry.cells.breaker.admit();
-                    if let Some(transition) = transition {
-                        domain::log_breaker_transition(&self.obs, entry.name.as_str(), transition);
-                    }
-                    if let BreakerAdmit::Shed { .. } = admit {
-                        cells.rejected_unavailable.fetch_add(1, Ordering::Relaxed);
-                        return Err(self.log_shed(
-                            request.id,
-                            &request.engine,
-                            Rejection::EngineUnavailable,
-                        ));
-                    }
+                let (admit, transition) = entry.cells.breaker.admit();
+                if let Some(transition) = transition {
+                    domain::log_breaker_transition(&self.obs, entry.name.as_str(), transition);
+                }
+                if let BreakerAdmit::Shed { .. } = admit {
+                    cells.rejected_unavailable.fetch_add(1, Ordering::Relaxed);
+                    return Err(self.log_shed(
+                        request.id,
+                        &request.engine,
+                        Rejection::EngineUnavailable,
+                    ));
                 }
             }
-            entry_index
+            entry
         };
         if let Some(trace) = &request.trace {
             trace.set_engine(request.engine.as_str());
@@ -716,22 +672,8 @@ impl ServerHandle {
                 // long the target domain's admitted backlog takes to drain
                 // at the engine's calibrated rate. (For auto requests the
                 // stronger completion check above already passed.)
-                let (backlog, drain) = match entry_index {
-                    Some(index) => {
-                        let entry = &self.engines_index[index];
-                        (
-                            self.domains[entry.domain].backlog_ops(),
-                            entry.cells.drain.ops_per_second(),
-                        )
-                    }
-                    // Unknown engine: it will fail typed after dispatch;
-                    // admission falls back to the global backlog and seed.
-                    None => (
-                        cells.backlog_ops.load(Ordering::Acquire),
-                        self.fallback_drain,
-                    ),
-                };
-                if backlog as f64 / drain.max(1.0) > deadline.as_secs_f64() {
+                let backlog = self.domains[entry.domain].backlog_ops();
+                if backlog as f64 / entry.cells.drain.ops_per_second() > deadline.as_secs_f64() {
                     cells.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                     return Err(self.log_shed(
                         request.id,
@@ -742,10 +684,7 @@ impl ServerHandle {
             }
         }
 
-        let domain_index = entry_index.map_or(0, |index| self.engines_index[index].domain);
-        let engine_cells = entry_index.map(|index| Arc::clone(&self.engines_index[index].cells));
         let request_id = request.id;
-        let engine_name = request.engine.clone();
         let trace = request.trace.clone();
         if let Some(trace) = &trace {
             trace.stamp(Stage::Admission);
@@ -760,21 +699,15 @@ impl ServerHandle {
         } else {
             (None, None)
         };
-        cells.pending.fetch_add(1, Ordering::AcqRel);
-        cells.backlog_ops.fetch_add(estimated_ops, Ordering::AcqRel);
-        if let Some(engine) = &engine_cells {
-            engine.pending.fetch_add(1, Ordering::AcqRel);
-            engine
-                .backlog_ops
-                .fetch_add(estimated_ops, Ordering::AcqRel);
-        }
+        entry.cells.admit(estimated_ops);
         let submission = Submission::Request(Box::new(PendingRequest {
             request,
+            engine: Arc::clone(entry),
             completion,
             estimated_ops,
             progress: progress_tx,
         }));
-        let tx = &self.domains[domain_index].tx;
+        let tx = &self.domains[entry.domain].tx;
         let outcome = if block {
             tx.send(submission).map_err(|_| Rejection::ShuttingDown)
         } else {
@@ -794,23 +727,55 @@ impl ServerHandle {
                 })
             }
             Err(rejection) => {
-                cells.pending.fetch_sub(1, Ordering::AcqRel);
-                cells.backlog_ops.fetch_sub(estimated_ops, Ordering::AcqRel);
-                if let Some(engine) = &engine_cells {
-                    engine.pending.fetch_sub(1, Ordering::AcqRel);
-                    engine
-                        .backlog_ops
-                        .fetch_sub(estimated_ops, Ordering::AcqRel);
-                }
+                entry.cells.retire(estimated_ops);
                 match rejection {
                     Rejection::QueueFull => {
                         cells.rejected_queue_full.fetch_add(1, Ordering::Relaxed)
                     }
                     _ => cells.rejected_shutdown.fetch_add(1, Ordering::Relaxed),
                 };
-                Err(self.log_shed(request_id, &engine_name, rejection))
+                Err(self.log_shed(request_id, &entry.name, rejection))
             }
         }
+    }
+
+    /// Admits a request naming an engine the registry does not hold and
+    /// resolves its ticket on the spot to [`ServeError::UnknownEngine`]:
+    /// there is nothing to queue it for. It counts as admitted and failed.
+    fn resolve_unknown_engine(&self, request: InferenceRequest) -> Ticket {
+        if let Some(trace) = &request.trace {
+            trace.set_engine(request.engine.as_str());
+            trace.stamp(Stage::Router);
+            trace.stamp(Stage::Admission);
+        }
+        let error = ServeError::UnknownEngine(request.engine.clone());
+        self.obs.events.emit(
+            EventLevel::Error,
+            "engine_error",
+            &[
+                ("engine", EventValue::Str(request.engine.as_str())),
+                ("request_id", EventValue::U64(request.id)),
+                ("code", EventValue::Str(error.code())),
+            ],
+        );
+        let (completion, rx) = mpsc::channel();
+        let _ = completion.send(Err(error));
+        self.cells.admitted.fetch_add(1, Ordering::Relaxed);
+        self.cells.unknown_engine.fetch_add(1, Ordering::Relaxed);
+        Ticket {
+            request_id: request.id,
+            rx,
+            trace: request.trace,
+            progress: None,
+        }
+    }
+
+    /// Requests admitted but not yet completed, summed over engines.
+    fn queue_depth(&self) -> usize {
+        self.engines_index
+            .iter()
+            .map(|entry| entry.cells.pending.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Closes every partially-filled batch in every domain and waits until
@@ -840,17 +805,6 @@ impl ServerHandle {
         &self.registry
     }
 
-    /// The engines `"auto"` requests resolve against on *this* server, in
-    /// its configured preference order (most-preferred first). Front-ends
-    /// preflighting auto routability must consult this — not the registry
-    /// default — so their view matches the dispatcher's.
-    pub fn auto_candidates(&self) -> Vec<EngineName> {
-        self.auto_order
-            .iter()
-            .map(|&index| self.engines_index[index].name.clone())
-            .collect()
-    }
-
     /// The observability hub this server feeds: stage-latency histograms,
     /// the recent/slowest trace store, router decision counters and the
     /// structured event log.
@@ -874,26 +828,24 @@ impl ServerHandle {
     /// Predicted seconds until the backlog ahead of a *new* request on the
     /// given engine drains at its calibrated rate — what a 429's
     /// `Retry-After` should quote. `"auto"` takes the best (smallest) drain
-    /// over the auto candidates; an engine the registry does not hold
-    /// falls back to the global backlog at the fallback seed rate.
+    /// over the auto candidates; an engine this server cannot price (one
+    /// the registry does not hold, or `"auto"` with no candidate) is `0.0`.
     pub fn predicted_drain_seconds(&self, engine: &EngineName) -> f64 {
-        let drain_of = |entry: &EngineEntry| {
-            self.domains[entry.domain].backlog_ops() as f64
-                / entry.cells.drain.ops_per_second().max(1.0)
-        };
-        if engine.is_auto() {
-            let best = self
-                .auto_order
-                .iter()
-                .map(|&index| drain_of(&self.engines_index[index]))
-                .fold(f64::INFINITY, f64::min);
-            if best.is_finite() {
-                return best;
-            }
-        } else if let Some(entry) = self.engines_index.iter().find(|e| e.name == *engine) {
-            return drain_of(entry);
-        }
-        self.cells.backlog_ops.load(Ordering::Acquire) as f64 / self.fallback_drain.max(1.0)
+        self.engines_index
+            .iter()
+            .enumerate()
+            .filter(|(index, entry)| {
+                if engine.is_auto() {
+                    self.auto_order.contains(index)
+                } else {
+                    entry.name == *engine
+                }
+            })
+            .map(|(_, entry)| {
+                self.domains[entry.domain].backlog_ops() as f64 / entry.cells.drain.ops_per_second()
+            })
+            .reduce(f64::min)
+            .unwrap_or(0.0)
     }
 
     /// Seconds until the named engine's open breaker next admits a
@@ -917,16 +869,20 @@ impl ServerHandle {
             .collect()
     }
 
-    /// A point-in-time snapshot of the server's counters.
+    /// A point-in-time snapshot of the server's counters. Queue depth,
+    /// backlog and the outcome counters are sums over the engines'
+    /// snapshots in [`OnlineStats::engines`].
     pub fn stats(&self) -> OnlineStats {
         let c = &self.cells;
-        let completed = c.completed.load(Ordering::Acquire);
+        let engines = self.engine_stats();
+        let completed: u64 = engines.iter().map(|e| e.completed).sum();
         let latency_sum = f64::from_bits(c.latency_sum_bits.load(Ordering::Acquire));
         OnlineStats {
             submitted: c.submitted.load(Ordering::Acquire),
             admitted: c.admitted.load(Ordering::Acquire),
             completed,
-            failed: c.failed.load(Ordering::Acquire),
+            failed: engines.iter().map(|e| e.failed).sum::<u64>()
+                + c.unknown_engine.load(Ordering::Acquire),
             admission: AdmissionStats {
                 queue_full: c.rejected_queue_full.load(Ordering::Acquire),
                 deadline: c.rejected_deadline.load(Ordering::Acquire),
@@ -934,9 +890,9 @@ impl ServerHandle {
                 unavailable: c.rejected_unavailable.load(Ordering::Acquire),
                 shutdown: c.rejected_shutdown.load(Ordering::Acquire),
             },
-            batches_executed: c.batches_executed.load(Ordering::Acquire),
-            queue_depth: c.pending.load(Ordering::Acquire),
-            backlog_ops: c.backlog_ops.load(Ordering::Acquire),
+            batches_executed: engines.iter().map(|e| e.batches_executed).sum(),
+            queue_depth: engines.iter().map(|e| e.queue_depth).sum(),
+            backlog_ops: engines.iter().map(|e| e.backlog_ops).sum(),
             total_simulated_cycles: c.total_cycles.load(Ordering::Acquire),
             total_energy_mj: f64::from_bits(c.energy_mj_bits.load(Ordering::Acquire)),
             mean_latency_seconds: if completed == 0 {
@@ -945,7 +901,7 @@ impl ServerHandle {
                 latency_sum / completed as f64
             },
             max_latency_seconds: f64::from_bits(c.latency_max_bits.load(Ordering::Acquire)),
-            engines: self.engine_stats(),
+            engines,
         }
     }
 }
@@ -1008,14 +964,13 @@ impl OnlineServer {
         let record = config.record_batches.then(|| Arc::clone(&executed));
 
         // Lay engines out into domains: one per engine under isolation,
-        // one shared domain otherwise. An empty registry still gets one
-        // (engine-less) domain so unknown-engine requests can ride to a
-        // worker and fail typed.
+        // one shared domain otherwise. An empty registry boots none: every
+        // request to it resolves `unknown_engine` at submission.
         let descriptors = registry.descriptors();
-        let layout: Vec<Vec<usize>> = if descriptors.is_empty() {
-            vec![Vec::new()]
-        } else if config.isolate_domains {
+        let layout: Vec<Vec<usize>> = if config.isolate_domains {
             (0..descriptors.len()).map(|index| vec![index]).collect()
+        } else if descriptors.is_empty() {
+            Vec::new()
         } else {
             vec![(0..descriptors.len()).collect()]
         };
@@ -1034,21 +989,22 @@ impl OnlineServer {
         let mut engines_index = Vec::with_capacity(descriptors.len());
         for (domain, members) in layout.iter().enumerate() {
             for &index in members {
-                engines_index.push(EngineEntry {
+                engines_index.push(Arc::new(EngineEntry {
                     name: EngineName::new(descriptors[index].name),
+                    engine: Arc::clone(&registry.engines()[index]),
                     descriptor: descriptors[index].clone(),
                     cells: Arc::clone(&engine_cells[index]),
                     domain,
-                });
+                }));
             }
         }
-        let auto_order: Vec<usize> = config
-            .auto_preference
+        let auto_order: Vec<usize> = registry
+            .auto_candidates()
             .iter()
-            .filter_map(|preferred| {
+            .filter_map(|candidate| {
                 engines_index
                     .iter()
-                    .position(|entry| entry.name == *preferred)
+                    .position(|entry| entry.name.as_str() == candidate.descriptor().name)
             })
             .collect();
 
@@ -1082,7 +1038,6 @@ impl OnlineServer {
                 policy: config.runtime.batching,
                 batch_timeout: config.batch_timeout,
                 bundle,
-                registry: Arc::clone(&registry),
                 cells: Arc::clone(&cells),
                 record: record.clone(),
                 obs: Arc::clone(&obs),
@@ -1109,10 +1064,6 @@ impl OnlineServer {
             cells,
             registry,
             max_pending: config.max_pending,
-            fallback_drain: config
-                .drain_ops_per_second
-                .unwrap_or(DEFAULT_DRAIN_OPS_PER_SECOND)
-                .max(1.0),
             obs,
             sessions,
         };
@@ -1284,9 +1235,10 @@ mod tests {
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.queue_depth, 0, "failures drain the queue");
         assert_eq!(stats.backlog_ops, 0);
-        // Unknown engines ride the default domain but are not attributed to
-        // any registered engine's scheduling stats.
+        // Unknown engines never reach a domain: no registered engine's
+        // scheduling stats see them, and no batch executes.
         assert!(stats.engines.iter().all(|e| e.failed == 0));
+        assert_eq!(stats.batches_executed, 0);
     }
 
     #[test]
@@ -1411,24 +1363,16 @@ mod tests {
     #[test]
     fn drain_seed_resolution_prefers_explicit_overrides() {
         let config = OnlineConfig::default();
-        // Unset global knob: descriptor seeds win.
+        // No override: the descriptor seed.
         assert_eq!(config.drain_seed("native", 2e9), 2e9);
-        // Explicit global knob seeds every engine.
-        let config = OnlineConfig::default().with_drain_rate(123.0);
-        assert_eq!(config.drain_seed("native", 2e9), 123.0);
-        // Per-engine override beats both.
+        // A per-engine override wins for that engine only.
         let config = config.with_engine_drain_seed(EngineName::native(), 7.0);
         assert_eq!(config.drain_seed("native", 2e9), 7.0);
-        assert_eq!(config.drain_seed("simulator", 5e9), 123.0);
-        // Explicitly pinning the old global default is honoured verbatim —
-        // `Some(rate)` vs `None`, no magic-value aliasing.
-        let config = OnlineConfig::default().with_drain_rate(DEFAULT_DRAIN_OPS_PER_SECOND);
-        assert_eq!(
-            config.drain_seed("native", 2e9),
-            DEFAULT_DRAIN_OPS_PER_SECOND
-        );
-        // The clamp never lets a seed below 1 op/s through.
-        let config = OnlineConfig::default().with_drain_rate(0.0);
+        assert_eq!(config.drain_seed("simulator", 5e9), 5e9);
+        // The clamp never lets a seed below 1 op/s through, from either
+        // source.
+        let config = config.with_engine_drain_seed(EngineName::native(), 0.0);
         assert_eq!(config.drain_seed("native", 2e9), 1.0);
+        assert_eq!(config.drain_seed("simulator", 0.0), 1.0);
     }
 }

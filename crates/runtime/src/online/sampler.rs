@@ -130,8 +130,12 @@ fn scrape(
     histogram_baseline: &mut BTreeMap<(String, &'static str), HistogramSnapshot>,
 ) {
     let ts = &obs.timeseries;
-    let completed = cells.completed.load(Ordering::Acquire);
-    let failed = cells.failed.load(Ordering::Acquire);
+    // Queue depth, backlog and the outcome counters live in the engine
+    // cells; the server-wide series are their sums.
+    let engines_sum = |read: fn(&EngineCells) -> u64| engines.iter().map(|e| read(e)).sum::<u64>();
+    let completed = engines_sum(|e| e.completed.load(Ordering::Acquire));
+    let failed = engines_sum(|e| e.failed.load(Ordering::Acquire))
+        + cells.unknown_engine.load(Ordering::Acquire);
     let shed_queue_full = cells.rejected_queue_full.load(Ordering::Acquire);
     let shed_deadline = cells.rejected_deadline.load(Ordering::Acquire);
     let shed_no_engine = cells.rejected_no_engine.load(Ordering::Acquire);
@@ -159,15 +163,15 @@ fn scrape(
     ts.record_counter("requests.finished", (completed + errored) as f64);
     ts.record_counter(
         "batches.total",
-        cells.batches_executed.load(Ordering::Acquire) as f64,
+        engines_sum(|e| e.batches_executed.load(Ordering::Acquire)) as f64,
     );
     ts.record_gauge(
         "queue_depth.all",
-        cells.pending.load(Ordering::Acquire) as f64,
+        engines_sum(|e| e.pending.load(Ordering::Acquire) as u64) as f64,
     );
     ts.record_gauge(
         "backlog_ops.all",
-        cells.backlog_ops.load(Ordering::Acquire) as f64,
+        engines_sum(|e| e.backlog_ops.load(Ordering::Acquire)) as f64,
     );
 
     for engine in engines {

@@ -4,6 +4,7 @@
 
 use std::time::Duration;
 
+use bishop_engine::EngineName;
 use bishop_runtime::{
     default_mixed_models, mixed_trace, BatchPolicy, BishopServer, OnlineConfig, OnlineServer,
     Rejection, RuntimeConfig, Ticket,
@@ -74,7 +75,8 @@ fn deadline_admission_sheds_when_backlog_outlasts_the_deadline() {
     // until it completes.
     let config = OnlineConfig::new(RuntimeConfig::new(1, BatchPolicy::new(8)))
         .with_batch_timeout(None)
-        .with_drain_rate(1.0);
+        .with_engine_drain_seed(EngineName::native(), 1.0)
+        .with_engine_drain_seed(EngineName::simulator(), 1.0);
     let server = OnlineServer::start(config);
     let handle = server.handle();
     let mut trace = mixed_trace(&default_mixed_models(), 2, 1, 21);
