@@ -12,12 +12,16 @@
 //! only execution (plus, on core-starved machines, OS-level CPU
 //! contention, which no queueing policy can remove).
 //!
-//! Results are printed and written to `BENCH_scheduler.json` at the
-//! workspace root. Acceptance: isolated mixed p95 stays within 2× of the
-//! solo p95 whenever the machine has enough cores for the domains to
-//! actually run in parallel (> 2); on smaller machines the bar is the
-//! isolation win itself (isolated mixed p95 at least 2× better than the
-//! shared pool's).
+//! One A/B is a single sample of a wide distribution (on a 2-core host
+//! consecutive runs have read anywhere from ~13× to ~200×), so the A/B
+//! runs `REPETITIONS` times. Results are printed and written to
+//! `BENCH_scheduler.json` at the workspace root: every repetition's
+//! isolation win, their median, and the arm detail of the median
+//! repetition. Acceptance, checked on every repetition: isolated mixed p95
+//! stays within 2× of the solo p95 whenever the machine has enough cores
+//! for the domains to actually run in parallel (> 2); on smaller machines
+//! the bar is the isolation win itself (isolated mixed p95 at least 2×
+//! better than the shared pool's).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,6 +41,8 @@ const SIM_PROBES: usize = 32;
 const SIM_SPACING: Duration = Duration::from_millis(5);
 /// Native flood size (submitted up front, drains in the background).
 const NATIVE_FLOOD: usize = 96;
+/// Isolated/shared A/B repetitions.
+const REPETITIONS: usize = 3;
 
 fn config(isolate: bool) -> OnlineConfig {
     OnlineConfig::new(RuntimeConfig::new(2, BatchPolicy::new(8)).with_queue_capacity(1024))
@@ -94,10 +100,26 @@ fn probe_loadgen(server: &OnlineServer, base_id: u64) -> Vec<f64> {
     latencies
 }
 
+/// One A/B arm's probe latencies, in seconds.
+struct Arm {
+    solo_p50: f64,
+    solo_p95: f64,
+    mixed_p50: f64,
+    mixed_p95: f64,
+    /// Wall time for the native flood to drain.
+    native_seconds: f64,
+}
+
+impl Arm {
+    /// Mixed p95 over solo p95.
+    fn blowup(&self) -> f64 {
+        self.mixed_p95 / self.solo_p95.max(1e-9)
+    }
+}
+
 /// One A/B arm: solo probe p50/p95, then the same probes under a co-located
-/// native flood. Returns (solo_p50, solo_p95, mixed_p50, mixed_p95,
-/// native_flood_seconds).
-fn run_arm(isolate: bool) -> (f64, f64, f64, f64, f64) {
+/// native flood.
+fn run_arm(isolate: bool) -> Arm {
     let server = OnlineServer::start(config(isolate));
     let entry = baseline_entry();
 
@@ -138,7 +160,13 @@ fn run_arm(isolate: bool) -> (f64, f64, f64, f64, f64) {
     }
     let native_seconds = flood_started.elapsed().as_secs_f64();
     server.shutdown();
-    (solo_p50, solo_p95, mixed_p50, mixed_p95, native_seconds)
+    Arm {
+        solo_p50,
+        solo_p95,
+        mixed_p50,
+        mixed_p95,
+        native_seconds,
+    }
 }
 
 fn bench_scheduler(c: &mut Criterion) {
@@ -168,32 +196,87 @@ fn bench_scheduler(c: &mut Criterion) {
     server.shutdown();
 
     // The A/B: per-engine domains vs the shared pre-domain pool.
-    let (iso_solo_p50, iso_solo_p95, iso_mixed_p50, iso_mixed_p95, iso_native_s) = run_arm(true);
-    let (_, shared_solo_p95, shared_mixed_p50, shared_mixed_p95, shared_native_s) = run_arm(false);
-
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let blowup_isolated = iso_mixed_p95 / iso_solo_p95.max(1e-9);
-    let blowup_shared = shared_mixed_p95 / shared_solo_p95.max(1e-9);
-    let isolation_win = shared_mixed_p95 / iso_mixed_p95.max(1e-9);
     println!(
         "scheduler A/B ({cores} cores; simulator probe latency while a native \
-         flood of {NATIVE_FLOOD} drains):"
+         flood of {NATIVE_FLOOD} drains; {REPETITIONS} repetitions):"
+    );
+    let mut runs: Vec<AbRun> = (1..=REPETITIONS).map(|rep| ab_run(rep, cores)).collect();
+    // In repetition order, before sorting for the median.
+    let wins: Vec<String> = runs
+        .iter()
+        .map(|r| format!("{:.2}", r.isolation_win))
+        .collect();
+    runs.sort_by(|a, b| a.isolation_win.total_cmp(&b.isolation_win));
+    let median = &runs[runs.len() / 2];
+    println!(
+        "  isolation win    : median {:.1}x, range {:.1}x .. {:.1}x",
+        median.isolation_win,
+        runs[0].isolation_win,
+        runs[runs.len() - 1].isolation_win,
+    );
+
+    let json = format!(
+        "{{\n  \"cores\": {cores},\n  \"native_flood_requests\": {NATIVE_FLOOD},\n  \
+         \"sim_probes\": {SIM_PROBES},\n  \"repetitions\": {REPETITIONS},\n  \
+         \"isolated\": {{\"solo_p50_ms\": {:.4}, \"solo_p95_ms\": {:.4}, \
+         \"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \"blowup_vs_solo\": {:.2}}},\n  \
+         \"shared\": {{\"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \
+         \"blowup_vs_solo\": {:.2}}},\n  \"isolation_win_p95_runs\": [{}],\n  \
+         \"isolation_win_p95_median\": {:.2}\n}}\n",
+        median.isolated.solo_p50 * 1e3,
+        median.isolated.solo_p95 * 1e3,
+        median.isolated.mixed_p50 * 1e3,
+        median.isolated.mixed_p95 * 1e3,
+        median.isolated.blowup(),
+        median.shared.mixed_p50 * 1e3,
+        median.shared.mixed_p95 * 1e3,
+        median.shared.blowup(),
+        wins.join(", "),
+        median.isolation_win,
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scheduler.json");
+    match std::fs::write(path, &json) {
+        Ok(()) => println!("wrote {path}"),
+        Err(err) => eprintln!("could not write {path}: {err}"),
+    }
+}
+
+/// One isolated/shared A/B repetition.
+struct AbRun {
+    isolated: Arm,
+    shared: Arm,
+    /// Shared mixed p95 over isolated mixed p95.
+    isolation_win: f64,
+}
+
+/// Runs, prints and checks one A/B repetition.
+fn ab_run(rep: usize, cores: usize) -> AbRun {
+    let isolated = run_arm(true);
+    let shared = run_arm(false);
+    let isolation_win = shared.mixed_p95 / isolated.mixed_p95.max(1e-9);
+    println!(
+        "  [{rep}] isolated domains : solo p50 {:.3} ms p95 {:.3} ms | mixed p50 {:.3} ms \
+         p95 {:.3} ms ({:.1}x solo p95; flood drained in {:.2} s)",
+        isolated.solo_p50 * 1e3,
+        isolated.solo_p95 * 1e3,
+        isolated.mixed_p50 * 1e3,
+        isolated.mixed_p95 * 1e3,
+        isolated.blowup(),
+        isolated.native_seconds,
     );
     println!(
-        "  isolated domains : solo p50 {:.3} ms p95 {:.3} ms | mixed p50 {:.3} ms p95 {:.3} ms \
-         ({blowup_isolated:.1}x solo p95; flood drained in {iso_native_s:.2} s)",
-        iso_solo_p50 * 1e3,
-        iso_solo_p95 * 1e3,
-        iso_mixed_p50 * 1e3,
-        iso_mixed_p95 * 1e3,
+        "  [{rep}] shared pool      : mixed p50 {:.3} ms p95 {:.3} ms \
+         ({:.1}x solo p95; flood drained in {:.2} s)",
+        shared.mixed_p50 * 1e3,
+        shared.mixed_p95 * 1e3,
+        shared.blowup(),
+        shared.native_seconds,
     );
     println!(
-        "  shared pool      : mixed p50 {:.3} ms p95 {:.3} ms \
-         ({blowup_shared:.1}x solo p95; flood drained in {shared_native_s:.2} s)",
-        shared_mixed_p50 * 1e3,
-        shared_mixed_p95 * 1e3,
+        "  [{rep}] isolation win    : shared mixed p95 / isolated mixed p95 = \
+         {isolation_win:.1}x"
     );
-    println!("  isolation win    : shared mixed p95 / isolated mixed p95 = {isolation_win:.1}x");
 
     // Acceptance. With cores to run domains in parallel, co-located native
     // load may cost the simulator at most 2x its solo p95. On one or two
@@ -202,10 +285,10 @@ fn bench_scheduler(c: &mut Criterion) {
     // head-of-line blocking by at least 2x.
     if cores > 2 {
         assert!(
-            iso_mixed_p95 <= 2.0 * iso_solo_p95,
+            isolated.mixed_p95 <= 2.0 * isolated.solo_p95,
             "isolated mixed p95 {:.3} ms exceeds 2x solo p95 {:.3} ms",
-            iso_mixed_p95 * 1e3,
-            iso_solo_p95 * 1e3,
+            isolated.mixed_p95 * 1e3,
+            isolated.solo_p95 * 1e3,
         );
     } else {
         assert!(
@@ -213,32 +296,14 @@ fn bench_scheduler(c: &mut Criterion) {
             "isolated domains must beat the shared pool's mixed p95 by >= 2x, got {:.2}x \
              (isolated {:.3} ms vs shared {:.3} ms)",
             isolation_win,
-            iso_mixed_p95 * 1e3,
-            shared_mixed_p95 * 1e3,
+            isolated.mixed_p95 * 1e3,
+            shared.mixed_p95 * 1e3,
         );
     }
-
-    let json = format!(
-        "{{\n  \"cores\": {cores},\n  \"native_flood_requests\": {NATIVE_FLOOD},\n  \
-         \"sim_probes\": {SIM_PROBES},\n  \
-         \"isolated\": {{\"solo_p50_ms\": {:.4}, \"solo_p95_ms\": {:.4}, \
-         \"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \"blowup_vs_solo\": {:.2}}},\n  \
-         \"shared\": {{\"mixed_p50_ms\": {:.4}, \"mixed_p95_ms\": {:.4}, \
-         \"blowup_vs_solo\": {:.2}}},\n  \"isolation_win_p95\": {:.2}\n}}\n",
-        iso_solo_p50 * 1e3,
-        iso_solo_p95 * 1e3,
-        iso_mixed_p50 * 1e3,
-        iso_mixed_p95 * 1e3,
-        blowup_isolated,
-        shared_mixed_p50 * 1e3,
-        shared_mixed_p95 * 1e3,
-        blowup_shared,
+    AbRun {
+        isolated,
+        shared,
         isolation_win,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scheduler.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
     }
 }
 

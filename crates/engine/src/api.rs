@@ -148,39 +148,40 @@ impl EngineDescriptor {
     /// Checks whether this engine can execute `batch`, returning the typed
     /// error a call to [`InferenceEngine::execute`] would fail with.
     pub fn check(&self, batch: &EngineBatch) -> Result<(), EngineError> {
-        if !self.supports_ecp && batch.options.ecp_threshold.is_some() {
+        self.check_model(&batch.config, &batch.options)
+    }
+
+    /// Checks whether the engine can execute `config` under `options`:
+    /// ECP support, then the fold limit against `config`'s timestep count.
+    /// Returns the typed refusal [`InferenceEngine::execute`] would fail
+    /// with. Given a model's own (unpadded) config this is the per-entry
+    /// support the gateway reports on `/v1/models` and preflights on
+    /// `/v1/infer`; this layer does not know the runtime's bundle shape,
+    /// so a model landing in the sliver between the limit and the last
+    /// bundle multiple below it passes here and surfaces the engine's
+    /// typed refusal at execution.
+    pub fn check_model(
+        &self,
+        config: &ModelConfig,
+        options: &SimOptions,
+    ) -> Result<(), EngineError> {
+        if !self.supports_ecp && options.ecp_threshold.is_some() {
             return Err(EngineError::EcpUnsupported { engine: self.name });
         }
-        if let Some(limit) = self.max_folded_timesteps {
-            if batch.config.timesteps > limit {
-                return Err(EngineError::BatchTooLarge {
-                    engine: self.name,
-                    folded_timesteps: batch.config.timesteps,
-                    limit,
-                });
-            }
+        match self.max_folded_timesteps {
+            Some(limit) if config.timesteps > limit => Err(EngineError::BatchTooLarge {
+                engine: self.name,
+                folded_timesteps: config.timesteps,
+                limit,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
-    /// Whether the engine supports the simulation options at all.
-    pub fn supports_options(&self, options: &SimOptions) -> bool {
-        self.supports_ecp || options.ecp_threshold.is_none()
-    }
-
-    /// Whether the engine can execute requests for `config` under `options`
-    /// even as a singleton batch — options support plus the fold limit
-    /// against the model's own timestep count. This is the per-entry engine
-    /// support the gateway reports on `/v1/models` and preflights on
-    /// `/v1/infer`. The comparison uses the unpadded timestep count (this
-    /// layer does not know the runtime's bundle shape); a model landing in
-    /// the sliver between the limit and the last bundle multiple below it
-    /// passes here and surfaces the engine's typed refusal at execution.
+    /// Whether [`EngineDescriptor::check_model`] accepts `config` under
+    /// `options`.
     pub fn supports_model(&self, config: &ModelConfig, options: &SimOptions) -> bool {
-        self.supports_options(options)
-            && self
-                .max_folded_timesteps
-                .is_none_or(|limit| config.timesteps <= limit)
+        self.check_model(config, options).is_ok()
     }
 }
 
@@ -410,11 +411,21 @@ mod tests {
                 limit: 16
             })
         );
-        assert!(!d.supports_options(&SimOptions::with_ecp(3)));
-        assert!(d.supports_options(&SimOptions::baseline()));
-        // supports_model folds in the timestep cap against the base config.
+        // check_model is the same check against a model's own config.
         let small = ModelConfig::new("s", DatasetKind::Cifar10, 1, 8, 8, 16, 2);
         let long = ModelConfig::new("l", DatasetKind::Cifar10, 1, 32, 8, 16, 2);
+        assert_eq!(
+            d.check_model(&small, &SimOptions::with_ecp(3)),
+            Err(EngineError::EcpUnsupported { engine: "test" })
+        );
+        assert_eq!(
+            d.check_model(&long, &SimOptions::baseline()),
+            Err(EngineError::BatchTooLarge {
+                engine: "test",
+                folded_timesteps: 32,
+                limit: 16
+            })
+        );
         assert!(d.supports_model(&small, &SimOptions::baseline()));
         assert!(!d.supports_model(&long, &SimOptions::baseline()));
         assert!(!d.supports_model(&small, &SimOptions::with_ecp(3)));

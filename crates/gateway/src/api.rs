@@ -20,7 +20,9 @@
 //! then a terminal `"result"` event); `"session": "<id>"` continues a
 //! session created on `POST /v1/sessions` from its persisted LIF membrane
 //! state; `"timesteps": n` runs a partial prefix of the model's horizon.
-//! All three need a concrete engine advertising `supports_streaming`.
+//! All three need a concrete engine advertising `supports_streaming`. A
+//! continuation runs on the engine its session is pinned to, and is
+//! preflighted against that engine.
 //!
 //! Errors are machine-readable: every non-2xx body is
 //! `{"error": {"code": "<stable_code>", "message": "<human text>",
@@ -32,13 +34,13 @@ use std::time::Duration;
 
 use bishop_bundle::TrainingRegime;
 use bishop_core::SimOptions;
-use bishop_engine::{EngineName, EngineRegistry, StepEvent};
+use bishop_engine::{EngineDescriptor, EngineName, EngineRegistry, StepEvent};
 use bishop_obs::{
     FinishedTrace, ProfileReport, RouterDecision, RouterVerdict, SloStatus, StageStamp,
     TraceContext, TraceSnapshot,
 };
 use bishop_runtime::{EngineLoadStats, InferenceRequest, InferenceResponse};
-use bishop_session::SessionStore;
+use bishop_session::{SessionError, SessionId, SessionLease, SessionStore};
 
 use crate::json::Json;
 
@@ -53,7 +55,8 @@ pub struct ApiError {
     /// Human-readable detail.
     pub message: String,
     /// HTTP status the error maps to (`400` for malformed/unknown inputs,
-    /// `422` for well-formed requests the chosen engine cannot execute).
+    /// `422` for well-formed requests the chosen engine cannot execute,
+    /// `404`/`409`/`410`/`503` for session-store refusals).
     pub status: u16,
 }
 
@@ -70,16 +73,31 @@ impl ApiError {
     /// Builds a `422 Unprocessable` error: syntactically valid, but the
     /// requested engine cannot execute the resolved request profile.
     pub fn unprocessable(code: &'static str, message: impl Into<String>) -> Self {
-        Self {
-            code,
-            message: message.into(),
-            status: 422,
-        }
+        Self::new(code, message).with_status(422)
+    }
+
+    /// Overrides the HTTP status.
+    pub fn with_status(mut self, status: u16) -> Self {
+        self.status = status;
+        self
     }
 }
 
-/// A decoded `/v1/infer` submission: the runtime request plus the optional
-/// admission deadline.
+impl From<SessionError> for ApiError {
+    fn from(error: SessionError) -> Self {
+        let status = match error {
+            SessionError::NotFound => 404,
+            SessionError::Expired => 410,
+            SessionError::InFlight => 409,
+            SessionError::CapacityExhausted => 503,
+        };
+        Self::new(error.code(), error.to_string()).with_status(status)
+    }
+}
+
+/// A decoded `/v1/infer` submission: the runtime request, resolved and
+/// preflighted against the engine that will execute it, plus the optional
+/// admission deadline and the lease a session continuation holds.
 #[derive(Debug)]
 pub struct InferSubmission {
     /// The runtime inference request (id already assigned by the gateway).
@@ -92,15 +110,30 @@ pub struct InferSubmission {
     /// Whether the client asked for a chunked per-timestep event stream
     /// (`"stream": true`).
     pub stream: bool,
-    /// Wire-form session id the request continues (`"session": "<id>"`),
-    /// still unresolved — the server leases it against the store.
-    pub session: Option<String>,
-    /// Explicit timestep count (`"timesteps": n`), for partial execution.
-    pub steps: Option<usize>,
+    /// The lease on the session the request continues (`"session":
+    /// "<id>"`). [`encode_result`] checks it in with the new state;
+    /// dropping it anywhere else checks the session in unchanged.
+    pub lease: Option<SessionLease>,
+}
+
+/// What a request's `"engine"` field names.
+enum NamedEngine {
+    /// `"auto"`: the runtime's dispatcher picks the engine at admission.
+    Auto,
+    /// A registered backend.
+    Backend(EngineDescriptor),
 }
 
 /// Decodes a `/v1/infer` JSON body into a runtime request, resolving the
-/// model against `catalog` and the (optional) engine against `engines`.
+/// model against `catalog`, the engine against `engines` and a
+/// `"session"` continuation against `sessions`, each once.
+///
+/// Field validation that needs no session runs first. Each request then
+/// runs one capability and streaming preflight, against the engine that
+/// will execute it: a named (or, without a session, the default) engine is
+/// checked before any session is touched; a continuation without an
+/// `"engine"` field is leased first — so a concurrent resume or eviction
+/// is refused — and checked against the engine its session is pinned to.
 /// An `"auto"` request is preflighted against
 /// [`EngineRegistry::auto_candidates`], the same order the runtime
 /// dispatcher routes by.
@@ -108,26 +141,10 @@ pub fn decode_infer(
     body: &Json,
     catalog: &ModelCatalog,
     engines: &EngineRegistry,
+    sessions: &Arc<SessionStore>,
     request_id: u64,
 ) -> Result<InferSubmission, ApiError> {
-    let model_name = body
-        .get("model")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::new("bad_request", "missing required string field \"model\""))?;
-    let entry = catalog.get(model_name).ok_or_else(|| {
-        let known: Vec<&str> = catalog.entries().iter().map(|e| e.name.as_str()).collect();
-        ApiError::new(
-            "unknown_model",
-            format!("unknown model \"{model_name}\" (catalog: {known:?})"),
-        )
-    })?;
-
-    let seed = match body.get("seed") {
-        None => 0,
-        Some(value) => value.as_u64().ok_or_else(|| {
-            ApiError::new("bad_request", "\"seed\" must be a non-negative integer")
-        })?,
-    };
+    let (entry, seed) = model_and_seed(body, catalog)?;
 
     let regime = match body.get("regime").map(|v| (v, v.as_str())) {
         None => entry.regime,
@@ -187,12 +204,11 @@ pub fn decode_infer(
         Some(value) => Some(
             value
                 .as_str()
-                .ok_or_else(|| ApiError::new("bad_request", "\"session\" must be a string"))?
-                .to_string(),
+                .ok_or_else(|| ApiError::new("bad_request", "\"session\" must be a string"))?,
         ),
     };
 
-    let steps = match body.get("timesteps") {
+    let mut steps = match body.get("timesteps") {
         None => None,
         Some(value) => {
             let steps = value.as_u64().filter(|&t| t >= 1).ok_or_else(|| {
@@ -211,130 +227,166 @@ pub fn decode_infer(
         }
     };
 
-    // Engine resolution. `"auto"` defers the concrete choice to the
-    // runtime's deadline-aware dispatcher; everything else resolves (or
-    // defaults) to a registered backend here.
-    let engine = match body.get("engine") {
-        // Engine-less requests run on the registry's default (the first
-        // registered engine), not a hardcoded name — a custom registry
-        // without a "simulator" entry still serves them.
-        None => EngineName::new(
-            engines
-                .default_engine()
-                .ok_or_else(|| ApiError::new("no_engines", "no execution engines are registered"))?
-                .descriptor()
-                .name,
-        ),
-        Some(value) => {
-            let name = value
-                .as_str()
-                .ok_or_else(|| ApiError::new("bad_request", "\"engine\" must be a string"))?;
-            if name == bishop_engine::AUTO_ENGINE {
-                EngineName::auto()
-            } else {
-                EngineName::new(
-                    engines
-                        .get(name)
-                        .ok_or_else(|| {
-                            ApiError::new(
-                                "unknown_engine",
-                                format!(
-                                    "unknown engine \"{name}\" (registered: {:?}, \
-                                     or \"auto\" for deadline-aware autoselection)",
-                                    engines.names()
-                                ),
-                            )
-                        })?
-                        .descriptor()
-                        .name,
-                )
+    // Streamed, session-bound and partial-timestep requests run the
+    // stateful execution path, which needs a concrete engine implementing
+    // per-step streaming. Every refusal below comes before any chunked
+    // `200` response header could commit to the wire.
+    let stateful = stream || session.is_some() || steps.is_some();
+    let mut request = InferenceRequest::new(request_id, Arc::clone(entry), seed)
+        .with_regime(regime)
+        .with_options(options);
+    let named = match named_engine(body, engines)? {
+        // "auto" defers the concrete choice to the runtime's dispatcher,
+        // so it is never stateful and never holds a lease. It is routable
+        // as long as *some* auto-eligible engine supports the profile; the
+        // dispatcher skips the rest.
+        Some(NamedEngine::Auto) => {
+            let candidates = engines.auto_candidates();
+            if !candidates
+                .iter()
+                .any(|e| e.descriptor().supports_model(&entry.config, &options))
+            {
+                let names: Vec<&str> = candidates.iter().map(|e| e.descriptor().name).collect();
+                return Err(ApiError::unprocessable(
+                    "auto_unroutable",
+                    format!(
+                        "no auto-eligible engine (preference {names:?}) can execute model \
+                         \"{}\" with the requested options",
+                        entry.name
+                    ),
+                ));
             }
+            if stateful {
+                return Err(ApiError::unprocessable(
+                    "streaming_unsupported",
+                    "streamed, session-bound and partial-timestep requests need a concrete \
+                     \"engine\" (\"auto\" routing cannot guarantee a streaming-capable backend)",
+                ));
+            }
+            return Ok(InferSubmission {
+                request: request.with_engine(EngineName::auto()),
+                deadline,
+                trace_requested,
+                stream,
+                lease: None,
+            });
         }
+        Some(NamedEngine::Backend(descriptor)) => Some(descriptor),
+        None => None,
     };
 
     // Capability preflight: any refusal knowable from the request profile
-    // alone — ECP on a non-ECP engine, or a model whose own timestep count
-    // already exceeds the engine's fold limit — is rejected here, before
-    // the request consumes a queue slot, a batcher pass and a worker
-    // dispatch. (The batcher caps coalescing at the fold limit, so the
-    // only worker-side refusals left are bundle-padding edge cases.) An
-    // "auto" request is routable as long as *some* auto-eligible engine
-    // supports the profile; the runtime dispatcher skips the rest.
-    if engine.is_auto() {
-        let candidates = engines.auto_candidates();
-        if !candidates
-            .iter()
-            .any(|e| e.descriptor().supports_model(&entry.config, &options))
-        {
-            let names: Vec<&str> = candidates.iter().map(|e| e.descriptor().name).collect();
-            return Err(ApiError::unprocessable(
-                "auto_unroutable",
-                format!(
-                    "no auto-eligible engine (preference {names:?}) can execute model \
-                     \"{}\" with the requested options",
-                    entry.name
-                ),
-            ));
-        }
-    } else if let Some(backend) = engines.get(engine.as_str()) {
-        let descriptor = backend.descriptor();
-        if !descriptor.supports_options(&options) {
-            return Err(ApiError::unprocessable(
-                "ecp_unsupported",
-                format!(
-                    "engine \"{}\" does not support ECP pruning options \
-                     (set \"ecp_threshold\": null or pick an engine from /v1/models)",
-                    descriptor.name
-                ),
-            ));
-        }
-        if let Some(limit) = descriptor.max_folded_timesteps {
-            if entry.config.timesteps > limit {
-                return Err(ApiError::unprocessable(
-                    "batch_too_large",
+    // alone — ECP on a non-ECP engine, a model whose own timestep count
+    // already exceeds the engine's fold limit, a stateful request on an
+    // engine without streaming — is rejected before the request consumes a
+    // queue slot, a batcher pass and a worker dispatch. (The batcher caps
+    // coalescing at the fold limit, so the only worker-side refusals left
+    // are bundle-padding edge cases.) It runs once, against the engine that
+    // will execute the request.
+    let preflight = |engine: &EngineDescriptor| -> Result<(), ApiError> {
+        engine
+            .check_model(&entry.config, &options)
+            .map_err(|error| {
+                ApiError::unprocessable(
+                    error.code(),
                     format!(
-                        "model \"{}\" spans {} timesteps, above engine \"{}\"'s \
-                         {limit}-folded-timestep capacity",
-                        entry.name, entry.config.timesteps, descriptor.name
+                        "{error} (model \"{}\"; GET /v1/models lists the engines that serve it)",
+                        entry.name
+                    ),
+                )
+            })?;
+        if stateful {
+            require_streaming(engine)?;
+        }
+        Ok(())
+    };
+    let (engine, lease) = match session {
+        None => {
+            let engine = match named {
+                Some(descriptor) => descriptor,
+                None => default_engine(engines)?,
+            };
+            preflight(&engine)?;
+            (engine, None)
+        }
+        // Session continuation: lease the slot exclusively, pin the request
+        // to the session's identity (model, engine, seed) and import its
+        // state.
+        Some(token) => {
+            // A named engine's refusals need no session: they come first.
+            if let Some(engine) = &named {
+                preflight(engine)?;
+            }
+            let lease = sessions.begin(parse_session_id(token)?)?;
+            let id = lease.id();
+            if lease.model() != entry.name {
+                return Err(ApiError::unprocessable(
+                    "session_model_mismatch",
+                    format!(
+                        "session {id} is pinned to model \"{}\", not \"{}\"",
+                        lease.model(),
+                        entry.name
                     ),
                 ));
             }
-        }
-    }
-
-    // Streaming preflight: streamed, session-bound and partial-timestep
-    // requests run the stateful execution path, which needs a concrete
-    // engine implementing per-step streaming. Refuse here — before any
-    // chunked `200` response header could commit to the wire — so the
-    // client always gets a typed error. `"auto"` stays blocking-only: the
-    // dispatcher's capability model knows nothing about streaming.
-    if stream || session.is_some() || steps.is_some() {
-        if engine.is_auto() {
-            return Err(ApiError::unprocessable(
-                "streaming_unsupported",
-                "streamed, session-bound and partial-timestep requests need a concrete \
-                 \"engine\" (\"auto\" routing cannot guarantee a streaming-capable backend)",
-            ));
-        }
-        if let Some(backend) = engines.get(engine.as_str()) {
-            let descriptor = backend.descriptor();
-            if !descriptor.supports_streaming {
-                return Err(ApiError::unprocessable(
-                    "streaming_unsupported",
-                    format!(
-                        "engine \"{}\" does not implement streamed stateful execution \
-                         (see \"supports_streaming\" on GET /v1/engines)",
-                        descriptor.name
-                    ),
-                ));
+            // The engine the session was created on is authoritative: an
+            // explicitly conflicting "engine" field is refused; an absent
+            // one adopts the session's, preflighted now that it is known.
+            let engine = match named {
+                Some(descriptor) if descriptor.name != lease.engine() => {
+                    return Err(ApiError::unprocessable(
+                        "session_engine_mismatch",
+                        format!(
+                            "session {id} is pinned to engine \"{}\", not \"{}\"",
+                            lease.engine(),
+                            descriptor.name
+                        ),
+                    ))
+                }
+                Some(descriptor) => descriptor,
+                None => {
+                    let engine = backend(engines, lease.engine())?;
+                    preflight(&engine)?;
+                    engine
+                }
+            };
+            // Weight identity: membranes only continue bit-identically
+            // under the weights and inputs the session started with, so
+            // the session's seed always wins over the request's.
+            request.seed = lease.seed();
+            let total = entry.config.timesteps;
+            let done = lease.timesteps_done();
+            match steps {
+                Some(steps) if done + steps > total => {
+                    return Err(ApiError::unprocessable(
+                        "timesteps_out_of_range",
+                        format!(
+                            "session {id} has {done}/{total} timesteps done; {steps} more \
+                             would overrun the model's horizon"
+                        ),
+                    ))
+                }
+                Some(_) => {}
+                // Default continuation: run the remainder of the horizon.
+                None if done >= total => {
+                    return Err(ApiError::unprocessable(
+                        "session_complete",
+                        format!(
+                            "session {id} already covers the model's full {total}-timestep \
+                             horizon; delete it or create a new session"
+                        ),
+                    ))
+                }
+                None => steps = Some(total - done),
             }
+            if let Some(state) = lease.state() {
+                request = request.with_resume(Arc::clone(state));
+            }
+            (engine, Some(lease))
         }
-    }
+    };
 
-    let mut request = InferenceRequest::new(request_id, Arc::clone(entry), seed)
-        .with_regime(regime)
-        .with_options(options)
-        .with_engine(engine);
+    request = request.with_engine(EngineName::new(engine.name));
     if stream {
         request = request.with_streaming();
     }
@@ -346,13 +398,150 @@ pub fn decode_infer(
         deadline,
         trace_requested,
         stream,
-        session,
-        steps,
+        lease,
     })
 }
 
-/// Encodes a runtime response for the `/v1/infer` reply body.
-pub fn encode_response(response: &InferenceResponse) -> Json {
+/// Decodes a `POST /v1/sessions` body: the catalogued model, input seed
+/// and streaming-capable engine a new session is pinned to. The session is
+/// checked against the entry's default options; `"regime"` and
+/// `"ecp_threshold"` are not read.
+pub fn decode_session<'a>(
+    body: &Json,
+    catalog: &'a ModelCatalog,
+    engines: &EngineRegistry,
+) -> Result<(&'a Arc<CatalogEntry>, &'static str, u64), ApiError> {
+    let (entry, seed) = model_and_seed(body, catalog)?;
+    let engine = match named_engine(body, engines)? {
+        Some(NamedEngine::Backend(descriptor)) => descriptor,
+        // A session pins one concrete engine; "auto" names none.
+        Some(NamedEngine::Auto) => {
+            return Err(ApiError::new(
+                "unknown_engine",
+                format!(
+                    "a session needs a concrete engine, not \"auto\" (registered: {:?})",
+                    engines.names()
+                ),
+            ))
+        }
+        None => default_engine(engines)?,
+    };
+    require_streaming(&engine)?;
+    if !engine.supports_model(&entry.config, &entry.options) {
+        return Err(ApiError::unprocessable(
+            "model_unsupported",
+            format!(
+                "engine \"{}\" cannot execute model \"{}\" with its default options",
+                engine.name, entry.name
+            ),
+        ));
+    }
+    Ok((entry, engine.name, seed))
+}
+
+/// Parses a wire-form session id (`sess-<slot>-<generation>`).
+pub fn parse_session_id(token: &str) -> Result<SessionId, ApiError> {
+    SessionId::parse(token).ok_or_else(|| {
+        ApiError::new(
+            "bad_request",
+            "session id must look like \"sess-<slot>-<generation>\"",
+        )
+    })
+}
+
+/// Resolves the required `"model"` against the catalog, and the optional
+/// `"seed"` (default 0).
+fn model_and_seed<'a>(
+    body: &Json,
+    catalog: &'a ModelCatalog,
+) -> Result<(&'a Arc<CatalogEntry>, u64), ApiError> {
+    let model_name = body
+        .get("model")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ApiError::new("bad_request", "missing required string field \"model\""))?;
+    let entry = catalog.get(model_name).ok_or_else(|| {
+        let known: Vec<&str> = catalog.entries().iter().map(|e| e.name.as_str()).collect();
+        ApiError::new(
+            "unknown_model",
+            format!("unknown model \"{model_name}\" (catalog: {known:?})"),
+        )
+    })?;
+    let seed = match body.get("seed") {
+        None => 0,
+        Some(value) => value.as_u64().ok_or_else(|| {
+            ApiError::new("bad_request", "\"seed\" must be a non-negative integer")
+        })?,
+    };
+    Ok((entry, seed))
+}
+
+/// Resolves the optional `"engine"` field (`None` when absent).
+fn named_engine(body: &Json, engines: &EngineRegistry) -> Result<Option<NamedEngine>, ApiError> {
+    let Some(value) = body.get("engine") else {
+        return Ok(None);
+    };
+    let name = value
+        .as_str()
+        .ok_or_else(|| ApiError::new("bad_request", "\"engine\" must be a string"))?;
+    Ok(Some(if name == bishop_engine::AUTO_ENGINE {
+        NamedEngine::Auto
+    } else {
+        NamedEngine::Backend(backend(engines, name)?)
+    }))
+}
+
+/// The engine an engine-less request runs on: the registry's default (the
+/// first registered engine), not a hardcoded name — a custom registry
+/// without a "simulator" entry still serves such requests.
+fn default_engine(engines: &EngineRegistry) -> Result<EngineDescriptor, ApiError> {
+    engines
+        .default_engine()
+        .map(|engine| engine.descriptor())
+        .ok_or_else(|| ApiError::new("no_engines", "no execution engines are registered"))
+}
+
+/// The descriptor of the registered engine `name`.
+fn backend(engines: &EngineRegistry, name: &str) -> Result<EngineDescriptor, ApiError> {
+    engines
+        .get(name)
+        .map(|engine| engine.descriptor())
+        .ok_or_else(|| {
+            ApiError::new(
+                "unknown_engine",
+                format!(
+                    "unknown engine \"{name}\" (registered: {:?}, \
+                     or \"auto\" for deadline-aware autoselection)",
+                    engines.names()
+                ),
+            )
+        })
+}
+
+/// Refuses an engine without a streamed stateful execution path.
+fn require_streaming(engine: &EngineDescriptor) -> Result<(), ApiError> {
+    if engine.supports_streaming {
+        return Ok(());
+    }
+    Err(ApiError::unprocessable(
+        "streaming_unsupported",
+        format!(
+            "engine \"{}\" does not implement streamed stateful execution \
+             (see \"supports_streaming\" on GET /v1/engines)",
+            engine.name
+        ),
+    ))
+}
+
+/// Encodes a served response for the blocking `/v1/infer` reply body and
+/// the streamed terminal `"result"` event alike, and checks a session
+/// continuation's lease in with the state the response parked.
+/// `timings` is the request's trace when the client asked for the
+/// `"timings"` breakdown.
+pub fn encode_result(
+    response: &InferenceResponse,
+    lease: Option<SessionLease>,
+    timings: Option<&TraceContext>,
+) -> Json {
     let mut fields = vec![
         ("request_id", Json::from_u64(response.request_id)),
         ("engine", Json::string(response.engine())),
@@ -371,6 +560,21 @@ pub fn encode_response(response: &InferenceResponse) -> Json {
     // the request rode in, not the request alone.
     if let Some(prediction) = response.output.prediction {
         fields.push(("batch_prediction", Json::from_u64(prediction as u64)));
+    }
+    if let Some(lease) = &lease {
+        fields.push(("session", Json::string(lease.id().to_string())));
+    }
+    if let Some(state) = &response.session_state {
+        fields.push((
+            "timesteps_done",
+            Json::from_u64(state.timesteps_done() as u64),
+        ));
+        if let Some(lease) = lease {
+            lease.complete(Arc::clone(state));
+        }
+    }
+    if let Some(trace) = timings {
+        fields.push(("timings", timings_json(trace)));
     }
     Json::object(fields)
 }
@@ -755,6 +959,12 @@ mod tests {
     use bishop_core::BishopConfig;
     use bishop_engine::{CalibrationCache, ResultCache};
 
+    fn sessions() -> Arc<SessionStore> {
+        Arc::new(SessionStore::new(
+            bishop_session::SessionStoreConfig::default(),
+        ))
+    }
+
     fn registry() -> EngineRegistry {
         EngineRegistry::serving_default(
             &BishopConfig::default(),
@@ -767,7 +977,7 @@ mod tests {
     fn decodes_a_minimal_submission_with_catalog_defaults() {
         let catalog = ModelCatalog::serving_default();
         let body = Json::parse(r#"{"model": "imagenet100-serve"}"#).unwrap();
-        let submission = decode_infer(&body, &catalog, &registry(), 41).unwrap();
+        let submission = decode_infer(&body, &catalog, &registry(), &sessions(), 41).unwrap();
         assert_eq!(submission.request.id, 41);
         assert_eq!(submission.request.seed, 0);
         assert_eq!(submission.request.regime, TrainingRegime::Bsa);
@@ -787,7 +997,7 @@ mod tests {
                 "regime": "baseline", "ecp_threshold": null, "deadline_ms": 25}"#,
         )
         .unwrap();
-        let submission = decode_infer(&body, &catalog, &registry(), 1).unwrap();
+        let submission = decode_infer(&body, &catalog, &registry(), &sessions(), 1).unwrap();
         assert_eq!(submission.request.seed, 9);
         assert_eq!(submission.request.regime, TrainingRegime::Baseline);
         assert_eq!(submission.request.options, SimOptions::baseline());
@@ -835,7 +1045,7 @@ mod tests {
             ),
         ] {
             let json = Json::parse(body).unwrap();
-            let error = decode_infer(&json, &catalog, &engines, 0).unwrap_err();
+            let error = decode_infer(&json, &catalog, &engines, &sessions(), 0).unwrap_err();
             assert_eq!(error.code, code, "{body}");
             assert!(error.message.contains(needle), "{body} -> {error:?}");
         }
@@ -848,7 +1058,7 @@ mod tests {
         // ECP-default model on a non-ECP engine: refused at decode (422,
         // stable code) instead of after admission and worker dispatch.
         let body = Json::parse(r#"{"model": "imagenet100-serve", "engine": "native"}"#).unwrap();
-        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "ecp_unsupported");
         assert_eq!(error.status, 422);
         // Disabling ECP makes the same profile executable.
@@ -856,7 +1066,7 @@ mod tests {
             r#"{"model": "imagenet100-serve", "engine": "native", "ecp_threshold": null}"#,
         )
         .unwrap();
-        assert!(decode_infer(&body, &catalog, &engines, 0).is_ok());
+        assert!(decode_infer(&body, &catalog, &engines, &sessions(), 0).is_ok());
 
         // A model whose own timestep count exceeds the engine's fold limit
         // can never execute there, batched or alone: refused at decode.
@@ -875,12 +1085,12 @@ mod tests {
             SimOptions::baseline(),
         );
         let body = Json::parse(r#"{"model": "marathon", "engine": "native"}"#).unwrap();
-        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "batch_too_large");
         assert_eq!(error.status, 422);
         // The unbounded simulator still takes it.
         let body = Json::parse(r#"{"model": "marathon"}"#).unwrap();
-        assert!(decode_infer(&body, &catalog, &engines, 0).is_ok());
+        assert!(decode_infer(&body, &catalog, &engines, &sessions(), 0).is_ok());
     }
 
     #[test]
@@ -892,10 +1102,11 @@ mod tests {
         let engines = EngineRegistry::new()
             .with_engine(std::sync::Arc::new(bishop_engine::NativeEngine::new()));
         let body = Json::parse(r#"{"model": "cifar10-serve"}"#).unwrap();
-        let submission = decode_infer(&body, &catalog, &engines, 0).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap();
         assert_eq!(submission.request.engine.as_str(), "native");
         // An empty registry is a typed failure, not a panic.
-        let error = decode_infer(&body, &catalog, &EngineRegistry::new(), 0).unwrap_err();
+        let error =
+            decode_infer(&body, &catalog, &EngineRegistry::new(), &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "no_engines");
     }
 
@@ -1058,17 +1269,17 @@ mod tests {
         // "auto" survives decoding as the auto pseudo-engine: the runtime
         // dispatcher makes the concrete choice at admission.
         let body = Json::parse(r#"{"model": "cifar10-serve", "engine": "auto"}"#).unwrap();
-        let submission = decode_infer(&body, &catalog, &engines, 0).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap();
         assert!(submission.request.engine.is_auto());
         // An ECP-default model is auto-routable (the simulator candidate
         // supports it), even though native would refuse it.
         let body = Json::parse(r#"{"model": "imagenet100-serve", "engine": "auto"}"#).unwrap();
-        assert!(decode_infer(&body, &catalog, &engines, 0).is_ok());
+        assert!(decode_infer(&body, &catalog, &engines, &sessions(), 0).is_ok());
         // With only a non-ECP candidate registered, the same profile is
         // unroutable: typed 422 at decode, before any queue slot.
         let native_only = EngineRegistry::new()
             .with_engine(std::sync::Arc::new(bishop_engine::NativeEngine::new()));
-        let error = decode_infer(&body, &catalog, &native_only, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &native_only, &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "auto_unroutable");
         assert_eq!(error.status, 422);
         assert!(error.message.contains("native"), "{}", error.message);
@@ -1078,23 +1289,31 @@ mod tests {
     fn decodes_stream_session_and_timesteps_fields() {
         let catalog = ModelCatalog::serving_default();
         let engines = registry();
-        let body = Json::parse(
-            r#"{"model": "cifar10-serve", "engine": "native", "stream": true,
-                "session": "sess-0-0", "timesteps": 2}"#,
-        )
+        let store = sessions();
+        let id = store.create("cifar10-serve", "native", 5).unwrap();
+        let body = Json::parse(&format!(
+            r#"{{"model": "cifar10-serve", "engine": "native", "stream": true,
+                "session": "{id}", "timesteps": 2}}"#
+        ))
         .unwrap();
-        let submission = decode_infer(&body, &catalog, &engines, 3).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, &store, 3).unwrap();
         assert!(submission.stream);
-        assert_eq!(submission.session.as_deref(), Some("sess-0-0"));
-        assert_eq!(submission.steps, Some(2));
+        assert_eq!(submission.lease.as_ref().map(SessionLease::id), Some(id));
         assert!(submission.request.streaming);
         assert_eq!(submission.request.steps, Some(2));
+        // The session's seed wins over the request's (absent) one.
+        assert_eq!(submission.request.seed, 5);
+        // The decoded submission holds the lease: the session is in flight
+        // until it drops.
+        assert_eq!(store.begin(id).map(|_| ()), Err(SessionError::InFlight));
+        drop(submission);
+        assert!(store.begin(id).is_ok());
         // Plain requests decode with the stateful fields off.
         let body = Json::parse(r#"{"model": "cifar10-serve"}"#).unwrap();
-        let submission = decode_infer(&body, &catalog, &engines, 4).unwrap();
+        let submission = decode_infer(&body, &catalog, &engines, &store, 4).unwrap();
         assert!(!submission.stream);
-        assert!(submission.session.is_none());
-        assert!(submission.steps.is_none());
+        assert!(submission.lease.is_none());
+        assert!(submission.request.steps.is_none());
         assert!(!submission.request.stateful());
         // Malformed stateful fields are typed 400s.
         for body in [
@@ -1103,14 +1322,14 @@ mod tests {
             r#"{"model": "cifar10-serve", "engine": "native", "timesteps": 0}"#,
         ] {
             let json = Json::parse(body).unwrap();
-            let error = decode_infer(&json, &catalog, &engines, 0).unwrap_err();
+            let error = decode_infer(&json, &catalog, &engines, &sessions(), 0).unwrap_err();
             assert_eq!(error.code, "bad_request", "{body}");
         }
         // Timestep counts beyond the model horizon are a 422.
         let body =
             Json::parse(r#"{"model": "cifar10-serve", "engine": "native", "timesteps": 4096}"#)
                 .unwrap();
-        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "timesteps_out_of_range");
         assert_eq!(error.status, 422);
     }
@@ -1122,7 +1341,7 @@ mod tests {
         // "auto" cannot guarantee a streaming-capable backend.
         let body =
             Json::parse(r#"{"model": "cifar10-serve", "engine": "auto", "stream": true}"#).unwrap();
-        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "streaming_unsupported");
         assert_eq!(error.status, 422);
         // The baseline engines advertise supports_streaming = false, so a
@@ -1133,7 +1352,7 @@ mod tests {
                 r#"{{"model": "cifar10-serve", "engine": "ptb", {field}}}"#
             ))
             .unwrap();
-            let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
+            let error = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap_err();
             assert_eq!(error.code, "streaming_unsupported", "{field}");
             assert_eq!(error.status, 422);
         }
@@ -1144,7 +1363,7 @@ mod tests {
             ))
             .unwrap();
             assert!(
-                decode_infer(&body, &catalog, &engines, 0).is_ok(),
+                decode_infer(&body, &catalog, &engines, &sessions(), 0).is_ok(),
                 "{engine}"
             );
         }
@@ -1206,18 +1425,18 @@ mod tests {
         let engines = registry();
         let body = Json::parse(r#"{"model": "cifar10-serve"}"#).unwrap();
         assert!(
-            !decode_infer(&body, &catalog, &engines, 0)
+            !decode_infer(&body, &catalog, &engines, &sessions(), 0)
                 .unwrap()
                 .trace_requested
         );
         let body = Json::parse(r#"{"model": "cifar10-serve", "trace": true}"#).unwrap();
         assert!(
-            decode_infer(&body, &catalog, &engines, 0)
+            decode_infer(&body, &catalog, &engines, &sessions(), 0)
                 .unwrap()
                 .trace_requested
         );
         let body = Json::parse(r#"{"model": "cifar10-serve", "trace": "yes"}"#).unwrap();
-        let error = decode_infer(&body, &catalog, &engines, 0).unwrap_err();
+        let error = decode_infer(&body, &catalog, &engines, &sessions(), 0).unwrap_err();
         assert_eq!(error.code, "bad_request");
         assert!(error.message.contains("trace"));
     }

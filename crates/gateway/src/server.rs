@@ -10,12 +10,12 @@ use std::time::Duration;
 
 use bishop_obs::{EventLevel, EventValue, Stage, TraceContext};
 use bishop_runtime::{Rejection, ServerHandle, Ticket};
-use bishop_session::{SessionError, SessionId, SessionLease, SessionStore, SessionStoreConfig};
+use bishop_session::{SessionLease, SessionStore, SessionStoreConfig};
 
 use crate::api::{
-    decode_infer, encode_response, engines_json, error_body, models_json, profile_json,
-    sessions_json, slo_json, step_event_json, timings_json, trace_json, trace_summary_json,
-    ModelCatalog,
+    decode_infer, decode_session, encode_result, engines_json, error_body, models_json,
+    parse_session_id, profile_json, sessions_json, slo_json, step_event_json, trace_json,
+    trace_summary_json, ApiError, InferSubmission, ModelCatalog,
 };
 use crate::http::{Limits, ParseError, Request, RequestReader, Response};
 use crate::json::Json;
@@ -130,6 +130,44 @@ struct Shared {
     trace_requests: bool,
 }
 
+impl Shared {
+    /// Allocates the next request id (echoed in `X-Request-Id`). Every id
+    /// the gateway hands out comes from here, so ids never repeat.
+    fn request_id(&self) -> u64 {
+        self.next_request_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// A typed error response under a freshly allocated request id.
+    fn refuse(&self, error: &ApiError) -> Response {
+        error_response(error, self.request_id())
+    }
+}
+
+/// The machine-readable error response: `error_body` plus the matching
+/// `X-Request-Id` header.
+fn error_response(error: &ApiError, request_id: u64) -> Response {
+    Response::json(
+        error.status,
+        &error_body(error.code, &error.message, request_id),
+    )
+    .with_header("X-Request-Id", &request_id.to_string())
+}
+
+/// A `200` JSON reply carrying `X-Request-Id`, or the typed error.
+fn reply(result: Result<Json, ApiError>, request_id: u64) -> Response {
+    match result {
+        Ok(body) => Response::json(200, &body).with_header("X-Request-Id", &request_id.to_string()),
+        Err(error) => error_response(&error, request_id),
+    }
+}
+
+/// Parses a request body as UTF-8 JSON.
+fn parse_body(request: &Request) -> Result<Json, ApiError> {
+    let text = std::str::from_utf8(&request.body)
+        .map_err(|_| ApiError::new("bad_request", "body is not UTF-8"))?;
+    Json::parse(text).map_err(|error| ApiError::new("bad_request", error.to_string()))
+}
+
 /// A running HTTP gateway in front of a Bishop online runtime.
 ///
 /// Serves `POST /v1/infer`, `GET /v1/models`, `GET /metrics` (Prometheus
@@ -235,13 +273,9 @@ impl Gateway {
 
 /// Turns away a connection over the concurrency cap with `503`.
 fn reject_connection(mut stream: TcpStream, shared: &Shared) {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-    let response = Response::json(
-        503,
-        &error_body("connection_limit", "connection limit reached", request_id),
-    )
-    .with_header("Retry-After", "1")
-    .with_header("X-Request-Id", &request_id.to_string());
+    let response = shared
+        .refuse(&ApiError::new("connection_limit", "connection limit reached").with_status(503))
+        .with_header("Retry-After", "1");
     shared.metrics.response(503);
     if response.write_to(&mut stream, false).is_ok() {
         drain_before_close(&stream);
@@ -333,9 +367,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         ParseError::Timeout { .. } => ("timeout", "timed out reading request"),
                         _ => ("aborted", "request aborted"),
                     };
-                    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-                    let response = Response::json(status, &error_body(code, message, request_id))
-                        .with_header("X-Request-Id", &request_id.to_string());
+                    let response = shared.refuse(&ApiError::new(code, message).with_status(status));
                     shared.metrics.response(status);
                     if response.write_to(&mut writer, false).is_ok() {
                         // The failed request's remaining bytes were never
@@ -385,40 +417,40 @@ enum Routed {
 struct StreamPlan {
     request_id: u64,
     ticket: Ticket,
+    /// The continued session's lease; its id is echoed on the terminal
+    /// `"result"` event.
     lease: Option<SessionLease>,
-    /// Wire-form session id, echoed on the terminal `"result"` event.
-    session: Option<String>,
     trace: Option<Arc<TraceContext>>,
     want_timings: bool,
 }
 
 /// Routes one parsed request to its endpoint.
 fn route(request: &Request, shared: &Shared) -> Routed {
-    let plain = |handled: Handled| Routed::Plain(handled);
     match (request.method.as_str(), request.path()) {
         ("POST", "/v1/infer") => infer(request, shared),
-        ("GET", "/v1/models") => plain(Handled::untraced(Response::json(
-            200,
-            &models_json(&shared.catalog, shared.runtime.engines()),
-        ))),
-        ("GET", "/v1/engines") => plain(Handled::untraced(Response::json(
+        _ => Routed::Plain(Handled::untraced(respond(request, shared))),
+    }
+}
+
+/// Answers every endpoint but `POST /v1/infer`: none carries a trace.
+fn respond(request: &Request, shared: &Shared) -> Response {
+    match (request.method.as_str(), request.path()) {
+        ("GET", "/v1/models") => {
+            Response::json(200, &models_json(&shared.catalog, shared.runtime.engines()))
+        }
+        ("GET", "/v1/engines") => Response::json(
             200,
             &engines_json(shared.runtime.engines(), &shared.runtime.engine_stats()),
-        ))),
-        ("POST", "/v1/sessions") => plain(create_session(request, shared)),
+        ),
+        ("POST", "/v1/sessions") => create_session(request, shared),
         ("GET", "/v1/sessions") => {
             // Expire idled sessions first so the listing never shows a
             // session a continuation request would then find expired.
             shared.sessions.sweep();
-            plain(Handled::untraced(Response::json(
-                200,
-                &sessions_json(&shared.sessions),
-            )))
+            Response::json(200, &sessions_json(&shared.sessions))
         }
-        ("DELETE", path) if path.starts_with("/v1/sessions/") => {
-            plain(delete_session(path, shared))
-        }
-        ("GET", "/metrics") => plain(Handled::untraced(Response::text(
+        ("DELETE", path) if path.starts_with("/v1/sessions/") => delete_session(path, shared),
+        ("GET", "/metrics") => Response::text(
             200,
             "text/plain; version=0.0.4",
             shared.metrics.render_prometheus(
@@ -426,200 +458,64 @@ fn route(request: &Request, shared: &Shared) -> Routed {
                 shared.runtime.obs(),
                 Some(&shared.sessions.stats()),
             ),
-        ))),
-        ("GET", "/v1/debug/traces") => plain(Handled::untraced(trace_listing(request, shared))),
-        ("GET", path) if path.starts_with("/v1/debug/traces/") => {
-            plain(Handled::untraced(trace_detail(path, shared)))
-        }
+        ),
+        ("GET", "/v1/debug/traces") => trace_listing(request, shared),
+        ("GET", path) if path.starts_with("/v1/debug/traces/") => trace_detail(path, shared),
         ("GET", "/v1/slo") => {
             let obs = shared.runtime.obs();
-            plain(Handled::untraced(Response::json(
-                200,
-                &slo_json(&obs.slo.evaluate(&obs.timeseries, None)),
-            )))
+            Response::json(200, &slo_json(&obs.slo.evaluate(&obs.timeseries, None)))
         }
-        ("GET", "/v1/debug/profile") => plain(Handled::untraced(Response::json(
-            200,
-            &profile_json(&shared.runtime.obs().profiler.report()),
-        ))),
-        ("GET", "/healthz") => plain(Handled::untraced(healthz(shared))),
-        (_, "/v1/infer") => plain(method_not_allowed(shared, "POST")),
-        (_, "/v1/sessions") => plain(method_not_allowed(shared, "GET, POST")),
-        (_, path) if path.starts_with("/v1/sessions/") => {
-            plain(method_not_allowed(shared, "DELETE"))
+        ("GET", "/v1/debug/profile") => {
+            Response::json(200, &profile_json(&shared.runtime.obs().profiler.report()))
         }
+        ("GET", "/healthz") => healthz(shared),
+        (_, "/v1/infer") => method_not_allowed(shared, "POST"),
+        (_, "/v1/sessions") => method_not_allowed(shared, "GET, POST"),
+        (_, path) if path.starts_with("/v1/sessions/") => method_not_allowed(shared, "DELETE"),
         (_, "/v1/models" | "/v1/engines" | "/metrics" | "/healthz" | "/v1/slo") => {
-            plain(method_not_allowed(shared, "GET"))
+            method_not_allowed(shared, "GET")
         }
         (_, path) if path.starts_with("/v1/debug/traces") || path == "/v1/debug/profile" => {
-            plain(method_not_allowed(shared, "GET"))
+            method_not_allowed(shared, "GET")
         }
-        _ => {
-            let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-            plain(Handled::untraced(
-                Response::json(
-                    404,
-                    &error_body("not_found", "no such endpoint", request_id),
-                )
-                .with_header("X-Request-Id", &request_id.to_string()),
-            ))
-        }
-    }
-}
-
-/// The HTTP status a session-store refusal maps to.
-fn session_status(error: &SessionError) -> u16 {
-    match error {
-        SessionError::NotFound => 404,
-        SessionError::Expired => 410,
-        SessionError::InFlight => 409,
-        SessionError::CapacityExhausted => 503,
+        _ => shared.refuse(&ApiError::new("not_found", "no such endpoint").with_status(404)),
     }
 }
 
 /// `POST /v1/sessions`: create a persistent session slot pinned to a
 /// catalogued model, a streaming-capable engine and an input seed.
-fn create_session(request: &Request, shared: &Shared) -> Handled {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-    let request_id_header = request_id.to_string();
-    let fail = |status: u16, code: &str, message: &str| {
-        Handled::untraced(
-            Response::json(status, &error_body(code, message, request_id))
-                .with_header("X-Request-Id", &request_id_header),
-        )
-    };
-
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return fail(400, "bad_request", "body is not UTF-8"),
-    };
-    let json = match Json::parse(body) {
-        Ok(json) => json,
-        Err(error) => return fail(400, "bad_request", &error.to_string()),
-    };
-    let Some(model) = json.get("model").and_then(Json::as_str) else {
-        return fail(
-            400,
-            "bad_request",
-            "missing required string field \"model\"",
-        );
-    };
-    let Some(entry) = shared.catalog.get(model) else {
-        return fail(400, "unknown_model", &format!("unknown model \"{model}\""));
-    };
-    let seed = match json.get("seed") {
-        None => 0,
-        Some(value) => match value.as_u64() {
-            Some(seed) => seed,
-            None => {
-                return fail(
-                    400,
-                    "bad_request",
-                    "\"seed\" must be a non-negative integer",
-                )
-            }
-        },
-    };
-    let engines = shared.runtime.engines();
-    let backend = match json.get("engine").map(|v| v.as_str()) {
-        None => match engines.default_engine() {
-            Some(backend) => backend,
-            None => return fail(400, "no_engines", "no execution engines are registered"),
-        },
-        Some(Some(name)) => match engines.get(name) {
-            Some(backend) => backend,
-            None => {
-                return fail(
-                    400,
-                    "unknown_engine",
-                    &format!(
-                        "unknown engine \"{name}\" (registered: {:?})",
-                        engines.names()
-                    ),
-                )
-            }
-        },
-        Some(None) => return fail(400, "bad_request", "\"engine\" must be a string"),
-    };
-    let descriptor = backend.descriptor();
-    if !descriptor.supports_streaming {
-        return fail(
-            422,
-            "streaming_unsupported",
-            &format!(
-                "engine \"{}\" does not implement streamed stateful execution, so it \
-                 cannot host sessions (see \"supports_streaming\" on GET /v1/engines)",
-                descriptor.name
+fn create_session(request: &Request, shared: &Shared) -> Response {
+    let request_id = shared.request_id();
+    let created = parse_body(request).and_then(|json| {
+        let (entry, engine, seed) =
+            decode_session(&json, &shared.catalog, shared.runtime.engines())?;
+        let id = shared.sessions.create(&entry.name, engine, seed)?;
+        Ok(Json::object(vec![
+            ("id", Json::string(id.to_string())),
+            ("model", Json::string(&entry.name)),
+            ("engine", Json::string(engine)),
+            ("seed", Json::from_u64(seed)),
+            (
+                "ttl_seconds",
+                Json::Number(shared.sessions.config().ttl.as_secs_f64()),
             ),
-        );
-    }
-    if !descriptor.supports_model(&entry.config, &entry.options) {
-        return fail(
-            422,
-            "model_unsupported",
-            &format!(
-                "engine \"{}\" cannot execute model \"{}\" with its default options",
-                descriptor.name, entry.name
-            ),
-        );
-    }
-    // Expire idled sessions before trying to claim a slot.
-    shared.sessions.sweep();
-    match shared.sessions.create(&entry.name, descriptor.name, seed) {
-        Ok(id) => {
-            let config = shared.sessions.config();
-            Handled::untraced(
-                Response::json(
-                    200,
-                    &Json::object(vec![
-                        ("id", Json::string(id.to_string())),
-                        ("model", Json::string(&entry.name)),
-                        ("engine", Json::string(descriptor.name)),
-                        ("seed", Json::from_u64(seed)),
-                        ("ttl_seconds", Json::Number(config.ttl.as_secs_f64())),
-                    ]),
-                )
-                .with_header("X-Request-Id", &request_id_header),
-            )
-        }
-        Err(error) => fail(session_status(&error), error.code(), &error.to_string()),
-    }
+        ]))
+    });
+    reply(created, request_id)
 }
 
 /// `DELETE /v1/sessions/<id>`: explicit eviction. In-flight sessions are a
 /// `409`; stale or unknown ids a `404`.
-fn delete_session(path: &str, shared: &Shared) -> Handled {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-    let request_id_header = request_id.to_string();
+fn delete_session(path: &str, shared: &Shared) -> Response {
+    let request_id = shared.request_id();
     let token = path
         .strip_prefix("/v1/sessions/")
         .expect("caller matched the prefix");
-    let Some(id) = SessionId::parse(token) else {
-        return Handled::untraced(
-            Response::json(
-                400,
-                &error_body(
-                    "bad_request",
-                    "session id must look like \"sess-<slot>-<generation>\"",
-                    request_id,
-                ),
-            )
-            .with_header("X-Request-Id", &request_id_header),
-        );
-    };
-    match shared.sessions.evict(id) {
-        Ok(()) => Handled::untraced(
-            Response::json(200, &Json::object(vec![("evicted", Json::string(token))]))
-                .with_header("X-Request-Id", &request_id_header),
-        ),
-        Err(error) => Handled::untraced(
-            Response::json(
-                session_status(&error),
-                &error_body(error.code(), &error.to_string(), request_id),
-            )
-            .with_header("X-Request-Id", &request_id_header),
-        ),
-    }
+    let evicted = parse_session_id(token).and_then(|id| {
+        shared.sessions.evict(id)?;
+        Ok(Json::object(vec![("evicted", Json::string(token))]))
+    });
+    reply(evicted, request_id)
 }
 
 /// `GET /healthz`: real readiness, not liveness theatre. `503 draining`
@@ -674,16 +570,10 @@ fn trace_listing(request: &Request, shared: &Shared) -> Response {
         Some(raw) => match raw.parse::<f64>() {
             Ok(ms) if ms.is_finite() && ms >= 0.0 => Some(ms / 1000.0),
             _ => {
-                let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-                return Response::json(
-                    400,
-                    &error_body(
-                        "bad_request",
-                        "min_ms must be a non-negative number",
-                        request_id,
-                    ),
-                )
-                .with_header("X-Request-Id", &request_id.to_string());
+                return shared.refuse(&ApiError::new(
+                    "bad_request",
+                    "min_ms must be a non-negative number",
+                ))
             }
         },
         None => None,
@@ -736,319 +626,198 @@ fn trace_listing(request: &Request, shared: &Shared) -> Response {
 /// `GET /v1/debug/traces/<id>`: one finished trace in full (stage spans,
 /// batch span id, router decision record).
 fn trace_detail(path: &str, shared: &Shared) -> Response {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
     let id = path
         .strip_prefix("/v1/debug/traces/")
         .expect("caller matched the prefix");
     let Ok(id) = id.parse::<u64>() else {
-        return Response::json(
-            400,
-            &error_body("bad_request", "trace id must be an integer", request_id),
-        )
-        .with_header("X-Request-Id", &request_id.to_string());
+        return shared.refuse(&ApiError::new("bad_request", "trace id must be an integer"));
     };
     match shared.runtime.obs().traces.find(id) {
         Some(trace) => Response::json(200, &trace_json(&trace)),
-        None => Response::json(
-            404,
-            &error_body(
+        None => shared.refuse(
+            &ApiError::new(
                 "trace_not_found",
                 "no retained trace with that request id (retention is bounded)",
-                request_id,
-            ),
-        )
-        .with_header("X-Request-Id", &request_id.to_string()),
+            )
+            .with_status(404),
+        ),
     }
 }
 
-fn method_not_allowed(shared: &Shared, allow: &str) -> Handled {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-    Handled::untraced(
-        Response::json(
-            405,
-            &error_body("method_not_allowed", "method not allowed", request_id),
-        )
+fn method_not_allowed(shared: &Shared, allow: &str) -> Response {
+    shared
+        .refuse(&ApiError::new("method_not_allowed", "method not allowed").with_status(405))
         .with_header("Allow", allow)
-        .with_header("X-Request-Id", &request_id.to_string()),
-    )
 }
 
-/// `POST /v1/infer`: allocate the request id and trace, decode, lease the
-/// session (if any), admit, then either wait for the ticket (blocking
-/// requests) or hand the ticket to the connection loop's chunked event
-/// writer (`"stream": true`). Every response — success or failure —
-/// carries the id in `X-Request-Id`; failures repeat it in the error body.
+/// A refused `/v1/infer`: the typed error, plus the `Retry-After` seconds
+/// of a refusal that retrying later can cure.
+struct Refusal {
+    error: ApiError,
+    retry_after: Option<u64>,
+}
+
+impl From<ApiError> for Refusal {
+    fn from(error: ApiError) -> Self {
+        Self {
+            error,
+            retry_after: None,
+        }
+    }
+}
+
+/// `POST /v1/infer`: allocate the request id and trace, then [`serve`] it.
+/// Every response — success or failure — carries the id in
+/// `X-Request-Id`; failures repeat it in the error body.
 fn infer(request: &Request, shared: &Shared) -> Routed {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
+    let request_id = shared.request_id();
     // The trace is born at the edge so its clock covers the whole request:
     // the stamps the runtime adds later all share this origin.
     let trace = shared
         .trace_requests
         .then(|| Arc::new(TraceContext::new(request_id)));
-    let request_id_header = request_id.to_string();
-    let fail = |status: u16, code: &str, message: &str| Handled {
-        response: Response::json(status, &error_body(code, message, request_id))
-            .with_header("X-Request-Id", &request_id_header),
-        trace: trace.clone(),
-        error_code: Some(code.to_string()),
-    };
-
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => return Routed::Plain(fail(400, "bad_request", "body is not UTF-8")),
-    };
-    let json = match Json::parse(body) {
-        Ok(json) => json,
-        Err(error) => return Routed::Plain(fail(400, "bad_request", &error.to_string())),
-    };
-    let submission =
-        match decode_infer(&json, &shared.catalog, shared.runtime.engines(), request_id) {
-            Ok(submission) => submission,
-            Err(error) => return Routed::Plain(fail(error.status, error.code, &error.message)),
-        };
-    let want_timings = submission.trace_requested || request.query_flag("trace", "1");
-
-    let mut runtime_request = submission.request;
-
-    // Session continuation: lease the slot exclusively, pin the request to
-    // the session's identity (model, engine, seed) and import its state.
-    let mut lease: Option<SessionLease> = None;
-    let mut session_wire: Option<String> = None;
-    if let Some(token) = &submission.session {
-        let Some(id) = SessionId::parse(token) else {
-            return Routed::Plain(fail(
-                400,
-                "bad_request",
-                "session id must look like \"sess-<slot>-<generation>\"",
-            ));
-        };
-        let leased = match shared.sessions.begin(id) {
-            Ok(leased) => leased,
-            Err(error) => {
-                return Routed::Plain(fail(
-                    session_status(&error),
-                    error.code(),
-                    &error.to_string(),
-                ))
+    match serve(request, shared, request_id, trace.as_ref()) {
+        Ok(routed) => routed,
+        Err(Refusal { error, retry_after }) => {
+            let mut response = error_response(&error, request_id);
+            if let Some(seconds) = retry_after {
+                response = response.with_header("Retry-After", &seconds.to_string());
             }
-        };
-        if leased.model() != runtime_request.entry.name {
-            let message = format!(
-                "session {token} is pinned to model \"{}\", not \"{}\"",
-                leased.model(),
-                runtime_request.entry.name
-            );
-            shared.sessions.abort(leased);
-            return Routed::Plain(fail(422, "session_model_mismatch", &message));
+            Routed::Plain(Handled {
+                response,
+                trace,
+                error_code: Some(error.code.to_string()),
+            })
         }
-        // The engine the session was created on is authoritative: an
-        // explicitly conflicting "engine" field is refused; an absent one
-        // adopts the session's.
-        if json.get("engine").is_some() && leased.engine() != runtime_request.engine.as_str() {
-            let message = format!(
-                "session {token} is pinned to engine \"{}\", not \"{}\"",
-                leased.engine(),
-                runtime_request.engine.as_str()
-            );
-            shared.sessions.abort(leased);
-            return Routed::Plain(fail(422, "session_engine_mismatch", &message));
-        }
-        match shared.runtime.engines().get(leased.engine()) {
-            Some(backend) => {
-                runtime_request.engine = bishop_engine::EngineName::new(backend.descriptor().name);
-            }
-            None => {
-                let message = format!(
-                    "session {token}'s engine \"{}\" is no longer registered",
-                    leased.engine()
-                );
-                shared.sessions.abort(leased);
-                return Routed::Plain(fail(422, "unknown_engine", &message));
-            }
-        }
-        // Weight identity: membranes only continue bit-identically under
-        // the weights and inputs the session started with, so the
-        // session's seed always wins over the request's.
-        runtime_request.seed = leased.seed();
-        let total = runtime_request.entry.config.timesteps;
-        let done = leased.timesteps_done();
-        match submission.steps {
-            Some(steps) if done + steps > total => {
-                let message = format!(
-                    "session {token} has {done}/{total} timesteps done; {steps} more would \
-                     overrun the model's horizon"
-                );
-                shared.sessions.abort(leased);
-                return Routed::Plain(fail(422, "timesteps_out_of_range", &message));
-            }
-            Some(_) => {}
-            // Default continuation: run the remainder of the horizon.
-            None => {
-                let remaining = total.saturating_sub(done);
-                if remaining == 0 {
-                    let message = format!(
-                        "session {token} already covers the model's full {total}-timestep \
-                         horizon; delete it or create a new session"
-                    );
-                    shared.sessions.abort(leased);
-                    return Routed::Plain(fail(422, "session_complete", &message));
-                }
-                runtime_request = runtime_request.with_steps(remaining);
-            }
-        }
-        if let Some(state) = leased.state() {
-            runtime_request = runtime_request.with_resume(Arc::clone(state));
-        }
-        session_wire = Some(token.clone());
-        lease = Some(leased);
     }
+}
+
+/// Decodes (leasing a continued session), admits, then either waits for
+/// the ticket (blocking requests) or hands it to the connection loop's
+/// chunked event writer (`"stream": true`). A lease still held when this
+/// returns an error checks its session back in unchanged.
+fn serve(
+    request: &Request,
+    shared: &Shared,
+    request_id: u64,
+    trace: Option<&Arc<TraceContext>>,
+) -> Result<Routed, Refusal> {
+    let json = parse_body(request)?;
+    let InferSubmission {
+        request: mut runtime_request,
+        deadline,
+        trace_requested,
+        stream,
+        lease,
+    } = decode_infer(
+        &json,
+        &shared.catalog,
+        shared.runtime.engines(),
+        &shared.sessions,
+        request_id,
+    )?;
+    let want_timings = trace_requested || request.query_flag("trace", "1");
 
     // What the client *asked* for ("auto" included) — the engine whose
     // predicted backlog drain prices a 429's Retry-After.
     let asked_engine = runtime_request.engine.clone();
-    if let Some(trace) = &trace {
+    if let Some(trace) = trace {
         trace.set_model(&runtime_request.entry.name);
-        if let Some(wire) = &session_wire {
-            trace.set_session(wire);
+        if let Some(lease) = &lease {
+            trace.set_session(&lease.id().to_string());
         }
         trace.stamp(Stage::Parse);
         runtime_request = runtime_request.with_trace(Arc::clone(trace));
     }
 
-    let admitted = match submission.deadline {
+    let admitted = match deadline {
         Some(deadline) => shared
             .runtime
             .try_submit_with_deadline(runtime_request, deadline),
         None => shared.runtime.try_submit(runtime_request),
     };
-    let ticket = match admitted {
-        Ok(ticket) => ticket,
-        Err(rejection) => {
-            // Nothing was admitted: the session (if leased) keeps its
-            // previous state and becomes resumable again.
-            if let Some(lease) = lease {
-                shared.sessions.abort(lease);
-            }
-            return Routed::Plain(match rejection {
-                // Load-transient sheds: retrying after backoff can succeed.
-                // Retry-After is *priced*, not hardcoded: the predicted
-                // seconds for the shedding engine's admitted backlog to
-                // drain at its calibrated rate (for "auto", the best
-                // candidate's), clamped to [1, 60].
-                rejection @ (Rejection::QueueFull
-                | Rejection::DeadlineUnmeetable
-                | Rejection::NoEngineMeetsDeadline) => {
-                    let retry_after = shared
-                        .runtime
-                        .predicted_drain_seconds(&asked_engine)
-                        .ceil()
-                        .clamp(1.0, 60.0) as u64;
-                    let mut handled = fail(429, rejection.code(), &rejection.to_string());
-                    handled.response = handled
-                        .response
-                        .with_header("Retry-After", &retry_after.to_string());
-                    handled
-                }
-                // No auto candidate can execute this request shape at all:
-                // the client must change the request, so no Retry-After —
-                // 422 like any other capability refusal. (The decode
-                // preflight reads the same registry order and catches this
-                // first; this arm is the backstop.)
-                rejection @ Rejection::NoEngineSupportsRequest => {
-                    fail(422, rejection.code(), &rejection.to_string())
-                }
-                // The named engine's circuit breaker is open (or, for
-                // "auto", every eligible engine's is): 503, with
-                // Retry-After priced from the breaker's next half-open
-                // probe window rather than backlog drain.
-                rejection @ Rejection::EngineUnavailable => {
-                    let retry_after = shared
+    let ticket = admitted.map_err(|rejection| {
+        let error = ApiError::new(rejection.code(), rejection.to_string());
+        match rejection {
+            // Load-transient sheds: retrying after backoff can succeed.
+            // Retry-After is *priced*, not hardcoded: the predicted seconds
+            // for the shedding engine's admitted backlog to drain at its
+            // calibrated rate (for "auto", the best candidate's), clamped
+            // to [1, 60].
+            Rejection::QueueFull
+            | Rejection::DeadlineUnmeetable
+            | Rejection::NoEngineMeetsDeadline => Refusal {
+                error: error.with_status(429),
+                retry_after: Some(retry_seconds(
+                    shared.runtime.predicted_drain_seconds(&asked_engine),
+                )),
+            },
+            // No auto candidate can execute this request shape at all: the
+            // client must change the request, so no Retry-After — 422 like
+            // any other capability refusal. (The decode preflight reads the
+            // same registry order and catches this first; this arm is the
+            // backstop.)
+            Rejection::NoEngineSupportsRequest => error.with_status(422).into(),
+            // The named engine's circuit breaker is open (or, for "auto",
+            // every eligible engine's is): 503, with Retry-After priced
+            // from the breaker's next half-open probe window rather than
+            // backlog drain.
+            Rejection::EngineUnavailable => Refusal {
+                error: error.with_status(503),
+                retry_after: Some(retry_seconds(
+                    shared
                         .runtime
                         .breaker_reopen_seconds(&asked_engine)
-                        .unwrap_or(1.0)
-                        .ceil()
-                        .clamp(1.0, 60.0) as u64;
-                    let mut handled = fail(503, rejection.code(), &rejection.to_string());
-                    handled.response = handled
-                        .response
-                        .with_header("Retry-After", &retry_after.to_string());
-                    handled
-                }
-                rejection => fail(503, rejection.code(), &rejection.to_string()),
-            });
+                        .unwrap_or(1.0),
+                )),
+            },
+            _ => error.with_status(503).into(),
         }
-    };
+    })?;
 
+    let trace = trace.cloned();
     // Streamed requests hand the admitted ticket to the connection loop:
     // the chunked response is written event-by-event as execution runs.
-    if submission.stream {
-        return Routed::Stream(StreamPlan {
+    if stream {
+        return Ok(Routed::Stream(StreamPlan {
             request_id,
             ticket,
             lease,
-            session: session_wire,
             trace,
             want_timings,
-        });
+        }));
     }
 
-    Routed::Plain(match ticket.wait() {
+    match ticket.wait() {
         Some(Ok(response)) => {
-            let mut encoded = encode_response(&response);
-            if let Json::Object(fields) = &mut encoded {
-                if let Some(wire) = &session_wire {
-                    fields.push(("session".to_string(), Json::string(wire)));
-                }
-                if let Some(state) = &response.session_state {
-                    fields.push((
-                        "timesteps_done".to_string(),
-                        Json::from_u64(state.timesteps_done() as u64),
-                    ));
-                }
-                if want_timings {
-                    if let Some(trace) = &trace {
-                        fields.push(("timings".to_string(), timings_json(trace)));
-                    }
-                }
-            }
-            if let Some(lease) = lease {
-                match &response.session_state {
-                    Some(state) => shared.sessions.complete(lease, Arc::clone(state)),
-                    None => shared.sessions.abort(lease),
-                }
-            }
-            Handled {
-                response: Response::json(200, &encoded)
-                    .with_header("X-Request-Id", &request_id_header),
+            let timings = trace.as_deref().filter(|_| want_timings);
+            let body = encode_result(&response, lease, timings);
+            Ok(Routed::Plain(Handled {
+                response: reply(Ok(body), request_id),
                 trace,
                 error_code: None,
-            }
+            }))
         }
         // A retryable execution fault that outlived the runtime's own
         // retry loop is server health, not the client's request: 503,
-        // retry elsewhere/later. Capability refusals stay 422 — the
-        // client must change the request profile.
-        Some(Err(bishop_runtime::ServeError::Engine(error))) if error.retryable() => {
-            if let Some(lease) = lease {
-                shared.sessions.abort(lease);
-            }
-            let mut handled = fail(503, error.code(), &error.to_string());
-            handled.response = handled.response.with_header("Retry-After", "1");
-            handled
-        }
-        Some(Err(error)) => {
-            if let Some(lease) = lease {
-                shared.sessions.abort(lease);
-            }
-            fail(422, error.code(), &error.to_string())
-        }
-        None => {
-            if let Some(lease) = lease {
-                shared.sessions.abort(lease);
-            }
-            fail(503, "shutting_down", "server shut down mid-request")
-        }
-    })
+        // retry elsewhere/later. Capability refusals stay 422 — the client
+        // must change the request profile.
+        Some(Err(bishop_runtime::ServeError::Engine(error))) if error.retryable() => Err(Refusal {
+            error: ApiError::new(error.code(), error.to_string()).with_status(503),
+            retry_after: Some(1),
+        }),
+        Some(Err(error)) => Err(ApiError::unprocessable(error.code(), error.to_string()).into()),
+        None => Err(
+            ApiError::new("shutting_down", "server shut down mid-request")
+                .with_status(503)
+                .into(),
+        ),
+    }
+}
+
+/// A `Retry-After` in whole seconds, clamped to [1, 60].
+fn retry_seconds(seconds: f64) -> u64 {
+    seconds.ceil().clamp(1.0, 60.0) as u64
 }
 
 /// Runs the chunked event phase of one streamed inference: per-step NDJSON
@@ -1070,7 +839,6 @@ fn stream_response(
         request_id,
         ticket,
         lease,
-        session,
         trace,
         want_timings,
     } = plan;
@@ -1114,71 +882,39 @@ fn stream_response(
         trace.stamp(Stage::StreamWrite);
     }
 
+    // The chunked 200 header is already on the wire, so a late typed
+    // refusal arrives in-band as a terminal error event (and the lease, if
+    // any, checks the session in unchanged as it drops). The decode
+    // preflight makes this path rare (it catches every refusal knowable
+    // from the request profile); this is defence-in-depth.
     let (terminal, error_code) = match ticket.wait() {
         Some(Ok(response)) => {
-            let mut encoded = encode_response(&response);
+            let timings = trace.as_deref().filter(|_| want_timings);
+            let mut encoded = encode_result(&response, lease, timings);
             if let Json::Object(fields) = &mut encoded {
                 fields.insert(0, ("event".to_string(), Json::string("result")));
-                if let Some(wire) = &session {
-                    fields.push(("session".to_string(), Json::string(wire)));
-                }
-                if let Some(state) = &response.session_state {
-                    fields.push((
-                        "timesteps_done".to_string(),
-                        Json::from_u64(state.timesteps_done() as u64),
-                    ));
-                }
                 if let Some(logits) = &response.logits {
                     fields.push((
                         "logits".to_string(),
                         Json::Array(logits.iter().map(|&v| Json::Number(v as f64)).collect()),
                     ));
                 }
-                if want_timings {
-                    if let Some(trace) = &trace {
-                        fields.push(("timings".to_string(), timings_json(trace)));
-                    }
-                }
-            }
-            if let Some(lease) = lease {
-                match &response.session_state {
-                    Some(state) => shared.sessions.complete(lease, Arc::clone(state)),
-                    None => shared.sessions.abort(lease),
-                }
             }
             (encoded, None)
         }
-        // The chunked 200 header is already on the wire, so a late typed
-        // refusal arrives in-band as a terminal error event. The decode
-        // preflight makes this path rare (it catches every refusal knowable
-        // from the request profile); this is defence-in-depth.
-        Some(Err(error)) => {
-            if let Some(lease) = lease {
-                shared.sessions.abort(lease);
-            }
-            let code = error.code();
+        outcome => {
+            let (code, message) = match outcome {
+                Some(Err(error)) => (error.code(), error.to_string()),
+                _ => ("shutting_down", "server shut down mid-request".to_string()),
+            };
             (
                 Json::object(vec![
                     ("event", Json::string("error")),
                     ("request_id", Json::from_u64(request_id)),
                     ("code", Json::string(code)),
-                    ("message", Json::string(error.to_string())),
+                    ("message", Json::string(message)),
                 ]),
-                Some(code.to_string()),
-            )
-        }
-        None => {
-            if let Some(lease) = lease {
-                shared.sessions.abort(lease);
-            }
-            (
-                Json::object(vec![
-                    ("event", Json::string("error")),
-                    ("request_id", Json::from_u64(request_id)),
-                    ("code", Json::string("shutting_down")),
-                    ("message", Json::string("server shut down mid-request")),
-                ]),
-                Some("shutting_down".to_string()),
+                Some(code),
             )
         }
     };
@@ -1193,10 +929,7 @@ fn stream_response(
     let _ = writer.set_write_timeout(None);
     if let Some(trace) = trace {
         trace.stamp(Stage::ResponseWrite);
-        shared
-            .runtime
-            .obs()
-            .finish(&trace, 200, error_code.as_deref());
+        shared.runtime.obs().finish(&trace, 200, error_code);
     }
     healthy && keep_alive
 }

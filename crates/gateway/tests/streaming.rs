@@ -504,8 +504,8 @@ fn in_flight_sessions_refuse_concurrent_resume_and_eviction() {
     );
     assert_eq!(status, 409, "{reply}");
 
-    // Aborting the lease parks the session again; eviction now succeeds.
-    store.abort(lease);
+    // Dropping the lease parks the session again; eviction now succeeds.
+    drop(lease);
     let (status, reply) = raw_roundtrip(addr, &delete(&format!("/v1/sessions/{id}")));
     assert_eq!(status, 200, "{reply}");
     stack.finish();
@@ -718,5 +718,64 @@ fn streaming_preflight_refuses_before_headers_commit() {
     );
     assert_eq!(status, 400, "{reply}");
     let _ = SessionId::parse(&sid.to_string()).expect("wire id round-trips");
+
+    // A continuation without an "engine" field runs on its session's
+    // engine, so it is preflighted against that engine — not the registry
+    // default. Native has no ECP path: refused plain, streamed or not,
+    // before any queue or worker sees the request.
+    let (status, reply) = raw_roundtrip(
+        addr,
+        &post(
+            "/v1/sessions",
+            r#"{"model": "stream-mini", "engine": "native"}"#,
+            true,
+        ),
+    );
+    assert_eq!(status, 200, "{reply}");
+    let id = body_json(&reply)
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("session id")
+        .to_string();
+    for stream in [true, false] {
+        let (status, reply) = raw_roundtrip(
+            addr,
+            &post(
+                "/v1/infer",
+                &format!(
+                    r#"{{"model": "stream-mini", "session": "{id}", "ecp_threshold": 6,
+                        "stream": {stream}}}"#
+                ),
+                true,
+            ),
+        );
+        assert_eq!(status, 422, "stream={stream}: {reply}");
+        assert!(reply.contains("ecp_unsupported"), "{reply}");
+        assert!(
+            !reply.contains("Transfer-Encoding"),
+            "refusal must be a plain response: {reply}"
+        );
+    }
+    let (status, reply) = raw_roundtrip(addr, &get("/v1/engines"));
+    assert_eq!(status, 200, "{reply}");
+    let Json::Array(engines) = body_json(&reply) else {
+        panic!("engine listing: {reply}");
+    };
+    let native = engines
+        .iter()
+        .find(|e| e.get("name").and_then(Json::as_str) == Some("native"))
+        .expect("native entry");
+    assert_eq!(native.get("failed").and_then(Json::as_u64), Some(0));
+    // The refusals left the session parked: it continues to its horizon.
+    let (steps, terminal) = stream_infer(
+        addr,
+        &format!(r#"{{"model": "stream-mini", "session": "{id}", "stream": true}}"#),
+    );
+    assert_eq!(steps.len(), 4);
+    assert_eq!(event_kind(&terminal), "result", "{terminal:?}");
+    assert_eq!(
+        terminal.get("timesteps_done").and_then(Json::as_u64),
+        Some(4)
+    );
     stack.finish();
 }

@@ -15,7 +15,9 @@
 //!   eviction, generation-counted ids, and a lease discipline
 //!   ([`SessionStore::begin`] / [`SessionLease`]) so a session can park
 //!   between requests and resume into any worker's batch without two
-//!   requests racing on the same membranes.
+//!   requests racing on the same membranes. A lease checks itself back in:
+//!   [`SessionLease::complete`] parks the new state, and dropping the lease
+//!   any other way (an error return, a panic unwinding) parks the old one.
 //!
 //! The store follows web-rwkv's batch-slot packing discipline: slots are a
 //! fixed-capacity slab, ids carry a generation counter so a stale id can
@@ -27,7 +29,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bishop_model::ModelState;
@@ -241,19 +243,23 @@ pub struct SessionStoreStats {
 
 /// An exclusive lease on a session for the duration of one request.
 ///
-/// Obtained from [`SessionStore::begin`]; the holder must check the session
-/// back in with [`SessionStore::complete`] (new state) or
-/// [`SessionStore::abort`] (request failed; previous state kept). While a
-/// lease is live the session is in-flight: resumes and evictions are
-/// refused typed.
+/// Obtained from [`SessionStore::begin`]. While a lease is live the session
+/// is in-flight: resumes and evictions are refused typed. The lease checks
+/// the session back in itself: [`SessionLease::complete`] parks the
+/// post-request state, and dropping the lease without completing it — an
+/// early error return, a panic unwinding through the holder — parks the
+/// previous state unchanged, so the session always stays resumable.
 #[derive(Debug)]
 pub struct SessionLease {
+    store: Arc<SessionStore>,
     id: SessionId,
     model: String,
     engine: String,
     seed: u64,
     state: Option<Arc<SessionState>>,
     timesteps_done: usize,
+    /// The state [`SessionLease::complete`] parks on check-in.
+    completed: Option<Arc<SessionState>>,
 }
 
 impl SessionLease {
@@ -286,6 +292,17 @@ impl SessionLease {
     /// Timesteps accumulated before this lease.
     pub fn timesteps_done(&self) -> usize {
         self.timesteps_done
+    }
+
+    /// Checks the session back in with its post-request state.
+    pub fn complete(mut self, state: Arc<SessionState>) {
+        self.completed = Some(state);
+    }
+}
+
+impl Drop for SessionLease {
+    fn drop(&mut self) {
+        self.store.check_in(self.id, self.completed.take());
     }
 }
 
@@ -330,13 +347,13 @@ impl SessionStore {
 
     /// Creates a fresh session pinned to a model, engine, and input seed.
     ///
-    /// Under capacity pressure the store first sweeps TTL-expired parked
-    /// sessions, then evicts the least-recently-touched parked session.
+    /// The store first sweeps TTL-expired parked sessions; if no slot is
+    /// free after that, it evicts the least-recently-touched parked session.
     /// In-flight sessions are never evicted; if every slot is in-flight the
     /// create is refused with [`SessionError::CapacityExhausted`].
     pub fn create(&self, model: &str, engine: &str, seed: u64) -> Result<SessionId, SessionError> {
         let now = Instant::now();
-        let mut slots = self.slots.lock().expect("session store lock");
+        let mut slots = self.lock_slots();
         self.sweep_expired_locked(&mut slots, now);
         let slot_index = match slots.iter().position(|s| s.occupant.is_none()) {
             Some(free) => free,
@@ -376,9 +393,9 @@ impl SessionStore {
     /// session idled past its TTL ([`SessionError::Expired`] — the session
     /// is evicted as a side effect), or another request is already
     /// executing against it ([`SessionError::InFlight`]).
-    pub fn begin(&self, id: SessionId) -> Result<SessionLease, SessionError> {
+    pub fn begin(self: &Arc<Self>, id: SessionId) -> Result<SessionLease, SessionError> {
         let now = Instant::now();
-        let mut slots = self.slots.lock().expect("session store lock");
+        let mut slots = self.lock_slots();
         let slot = slots.get_mut(id.slot).ok_or(SessionError::NotFound)?;
         if slot.generation != id.generation || slot.occupant.is_none() {
             return Err(SessionError::NotFound);
@@ -394,31 +411,28 @@ impl SessionStore {
         occupant.in_flight = true;
         occupant.last_touch = now;
         Ok(SessionLease {
+            store: Arc::clone(self),
             id,
             model: occupant.model.clone(),
             engine: occupant.engine.clone(),
             seed: occupant.seed,
             state: occupant.state.clone(),
             timesteps_done: occupant.timesteps_done,
+            completed: None,
         })
     }
 
-    /// Checks a leased session back in with its post-request state.
-    pub fn complete(&self, lease: SessionLease, state: Arc<SessionState>) {
-        let mut slots = self.slots.lock().expect("session store lock");
-        if let Some(occupant) = Self::leased_occupant_locked(&mut slots, lease.id) {
-            occupant.timesteps_done = state.timesteps_done();
-            occupant.state = Some(state);
-            occupant.in_flight = false;
-            occupant.last_touch = Instant::now();
-        }
-    }
-
-    /// Checks a leased session back in unchanged (the request failed; the
-    /// previously parked state remains resumable).
-    pub fn abort(&self, lease: SessionLease) {
-        let mut slots = self.slots.lock().expect("session store lock");
-        if let Some(occupant) = Self::leased_occupant_locked(&mut slots, lease.id) {
+    /// Checks a leased session back in: with its post-request state when
+    /// the request completed, unchanged otherwise. Runs from
+    /// [`SessionLease`]'s `Drop`, possibly while a panic unwinds, so it
+    /// must not panic itself.
+    fn check_in(&self, id: SessionId, state: Option<Arc<SessionState>>) {
+        let mut slots = self.lock_slots();
+        if let Some(occupant) = Self::leased_occupant_locked(&mut slots, id) {
+            if let Some(state) = state {
+                occupant.timesteps_done = state.timesteps_done();
+                occupant.state = Some(state);
+            }
             occupant.in_flight = false;
             occupant.last_touch = Instant::now();
         }
@@ -426,7 +440,7 @@ impl SessionStore {
 
     /// Explicitly evicts a parked session (`DELETE /v1/sessions/<id>`).
     pub fn evict(&self, id: SessionId) -> Result<(), SessionError> {
-        let mut slots = self.slots.lock().expect("session store lock");
+        let mut slots = self.lock_slots();
         let slot = slots.get_mut(id.slot).ok_or(SessionError::NotFound)?;
         if slot.generation != id.generation || slot.occupant.is_none() {
             return Err(SessionError::NotFound);
@@ -442,14 +456,14 @@ impl SessionStore {
     /// [`SessionStore::create`]). Returns how many sessions were evicted.
     pub fn sweep(&self) -> usize {
         let now = Instant::now();
-        let mut slots = self.slots.lock().expect("session store lock");
+        let mut slots = self.lock_slots();
         self.sweep_expired_locked(&mut slots, now)
     }
 
     /// Lists all live sessions (`GET /v1/sessions`).
     pub fn snapshot(&self) -> Vec<SessionSnapshot> {
         let now = Instant::now();
-        let slots = self.slots.lock().expect("session store lock");
+        let slots = self.lock_slots();
         slots
             .iter()
             .enumerate()
@@ -479,7 +493,7 @@ impl SessionStore {
     /// Live gauge and eviction counters for `/metrics`.
     pub fn stats(&self) -> SessionStoreStats {
         let active = {
-            let slots = self.slots.lock().expect("session store lock");
+            let slots = self.lock_slots();
             slots.iter().filter(|s| s.occupant.is_some()).count() as u64
         };
         SessionStoreStats {
@@ -496,6 +510,14 @@ impl SessionStore {
             return None;
         }
         slot.occupant.as_mut().filter(|o| o.in_flight)
+    }
+
+    /// The slot table. A panic while the lock was held cannot leave a slot
+    /// half-written (every critical section mutates whole fields), so a
+    /// poisoned lock is recovered rather than propagated — lease check-in
+    /// runs during unwinding and must never panic.
+    fn lock_slots(&self) -> MutexGuard<'_, Vec<Slot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn sweep_expired_locked(&self, slots: &mut [Slot], now: Instant) -> usize {
@@ -532,11 +554,11 @@ mod tests {
     use super::*;
     use std::thread::sleep;
 
-    fn store(capacity: usize, ttl: Duration) -> SessionStore {
-        SessionStore::new(SessionStoreConfig { capacity, ttl })
+    fn store(capacity: usize, ttl: Duration) -> Arc<SessionStore> {
+        Arc::new(SessionStore::new(SessionStoreConfig { capacity, ttl }))
     }
 
-    fn begin_err(store: &SessionStore, id: SessionId) -> SessionError {
+    fn begin_err(store: &Arc<SessionStore>, id: SessionId) -> SessionError {
         store
             .begin(id)
             .map(|_| ())
@@ -558,17 +580,65 @@ mod tests {
         assert_eq!(lease.engine(), "native");
         assert_eq!(lease.seed(), 7);
         assert!(lease.state().is_none(), "fresh session has no parked state");
-        store.complete(lease, sim_state(4));
+        lease.complete(sim_state(4));
 
         let lease = store.begin(id).unwrap();
         assert_eq!(lease.timesteps_done(), 4);
         assert_eq!(lease.state().unwrap().timesteps_done(), 4);
-        store.abort(lease);
-        // Abort keeps the previously parked state resumable.
+        drop(lease);
+        // Dropping a lease keeps the previously parked state resumable.
         let lease = store.begin(id).unwrap();
         assert_eq!(lease.timesteps_done(), 4);
-        store.complete(lease, sim_state(8));
+        lease.complete(sim_state(8));
         assert_eq!(store.stats().active, 1);
+    }
+
+    #[test]
+    fn dropped_leases_check_the_session_in_unchanged() {
+        let store = store(2, Duration::from_secs(60));
+        let id = store.create("tiny", "native", 3).unwrap();
+        store.begin(id).unwrap().complete(sim_state(4));
+        let parked = |store: &Arc<SessionStore>| {
+            let lease = store.begin(id).expect("session is resumable");
+            (lease.timesteps_done(), lease.state().cloned())
+        };
+        let before = parked(&store);
+        assert_eq!(before, (4, Some(sim_state(4))));
+
+        // Dropped without `complete`: an early error return.
+        drop(store.begin(id).unwrap());
+        assert_eq!(parked(&store), before);
+
+        // Dropped while a panic unwinds through the lease holder.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _lease = store.begin(id).unwrap();
+            panic!("request handler died mid-request");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(parked(&store), before);
+        let listing = store.snapshot();
+        assert!(!listing[0].in_flight);
+        assert_eq!(listing[0].timesteps_done, 4);
+        // Parked again, so explicit eviction is allowed.
+        assert_eq!(store.evict(id), Ok(()));
+    }
+
+    #[test]
+    fn a_poisoned_store_still_checks_leases_in() {
+        let store = store(2, Duration::from_secs(60));
+        let id = store.create("tiny", "native", 3).unwrap();
+        let lease = store.begin(id).unwrap();
+        let poisoner = Arc::clone(&store);
+        let poisoned = std::thread::spawn(move || {
+            let _slots = poisoner.slots.lock().unwrap();
+            panic!("poison the slot table");
+        })
+        .join();
+        assert!(poisoned.is_err());
+        assert!(store.slots.is_poisoned());
+        // Check-in recovers the lock instead of panicking in `Drop`.
+        lease.complete(sim_state(2));
+        assert_eq!(store.begin(id).unwrap().timesteps_done(), 2);
     }
 
     #[test]
@@ -591,7 +661,7 @@ mod tests {
         let lease = store.begin(id).unwrap();
         assert_eq!(begin_err(&store, id), SessionError::InFlight);
         assert_eq!(store.evict(id), Err(SessionError::InFlight));
-        store.complete(lease, sim_state(2));
+        lease.complete(sim_state(2));
         assert!(store.begin(id).is_ok());
     }
 
@@ -616,7 +686,7 @@ mod tests {
         for step in 1..=3 {
             sleep(Duration::from_millis(10));
             let lease = store.begin(id).expect("session stays live while used");
-            store.complete(lease, sim_state(step));
+            lease.complete(sim_state(step));
         }
     }
 
@@ -643,8 +713,8 @@ mod tests {
                 .expect_err("store is saturated"),
             SessionError::CapacityExhausted
         );
-        store.complete(busy_lease, sim_state(1));
-        store.complete(newcomer_lease, sim_state(1));
+        busy_lease.complete(sim_state(1));
+        newcomer_lease.complete(sim_state(1));
         // With a parked session available, creation succeeds again.
         assert!(store.create("tiny", "native", 5).is_ok());
     }
@@ -689,7 +759,7 @@ mod tests {
         assert!(entry.in_flight);
         assert!(entry.ttl_remaining_seconds > 0.0);
         assert!(entry.ttl_remaining_seconds <= 60.0);
-        store.complete(lease, sim_state(4));
+        lease.complete(sim_state(4));
         let listing = store.snapshot();
         assert!(!listing[0].in_flight);
         assert_eq!(listing[0].timesteps_done, 4);
@@ -704,7 +774,7 @@ mod tests {
         sleep(Duration::from_millis(5));
         assert_eq!(store.sweep(), 1, "only the parked session is swept");
         assert_eq!(store.stats().active, 1);
-        store.complete(lease, sim_state(1));
+        lease.complete(sim_state(1));
     }
 
     #[test]
